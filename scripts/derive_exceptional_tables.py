@@ -28,7 +28,7 @@ from orbitspan.rootcore import (  # noqa: E402
     cartan_matrix,
     dominantize_weights,
 )
-from orbitspan.sl2oracle import _cached_model, is_characteristic  # noqa: E402
+from orbitspan.sl2oracle import build_chevalley, is_characteristic  # noqa: E402
 
 EXPECTED_COUNTS = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 
@@ -89,7 +89,7 @@ def distinguished_orbits(t: SimpleType) -> list[tuple[str, tuple[int, ...], int]
             out.append((f"D_{t.rank}(a_{k})", w, dim))
         return out
     if t.family == "E":
-        model = _cached_model(t)
+        model = build_chevalley(t, max_rank=8)
         rows = []
         for bits in product((0, 2), repeat=t.rank):
             if not any(bits):
@@ -285,7 +285,7 @@ def main():
         expected = EXPECTED_COUNTS[str(t)]
         print(f"  rows: {len(named)} (expected {expected})")
         assert len(named) == expected, f"{t}: got {len(named)}"
-        model = _cached_model(t)
+        model = build_chevalley(t, max_rank=8)
         for psi in sorted(named):
             d = WeightedDiagram(t, tuple(Q(x) for x in psi))
             ok, _ = is_characteristic(model, d)

@@ -113,6 +113,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     label = parse_label(args.label)
     matching = h_n_a_plus(label)
     witnesses = None

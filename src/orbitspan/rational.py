@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
@@ -60,22 +61,46 @@ def nullspace(rows: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
 
 
 def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent."""
+    """One exact solution of rows . x = rhs, or None if inconsistent.
+
+    Entries are ints or Fractions.  The free variables are set to 0, so the
+    answer is the particular solution read off `rref` of the augmented matrix.
+    The elimination is fraction-free: each row is scaled to integers and kept
+    gcd-normalised, and pivots are taken leftmost-first as in `rref`.  Only
+    the pivot variables of a consistent system are back-substituted.
+    """
     if not rows:
         return None
     ncols = len(rows[0])
-    augmented = [list(map(Q, row)) + [Q(b)] for row, b in zip(rows, rhs)]
-    reduced = rref(augmented)
-    x = [Q(0)] * ncols
-    for row in reduced:
-        pivot = next(c for c in range(ncols + 1) if row[c] != 0)
-        if pivot == ncols:
-            return None
-        x[pivot] = row[ncols]
-    # back-check: free variables were set to 0, verify all equations
+    m = []
     for row, b in zip(rows, rhs):
-        if sum(a * xi for a, xi in zip(row, x)) != b:
-            return None
+        entries = [*row, b]
+        scale = lcm(*{x.denominator for x in entries})
+        m.append([x.numerator * (scale // x.denominator) for x in entries])
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        p = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        prow = m[top]
+        a = prow[col]
+        for r in range(top + 1, len(m)):
+            b = m[r][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(m[r], prow)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    # below the pivot rows every coefficient is 0, so a nonzero rhs is a contradiction
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    x = [Q(0)] * ncols
+    for row, p in zip(reversed(m[: len(pivots)]), reversed(pivots)):
+        x[p] = Q(row[ncols] - sum(a * v for a, v in zip(row[p + 1 : ncols], x[p + 1 :]) if v), row[p])
     return x
 
 

@@ -49,6 +49,7 @@ class ChevalleyModel:
         self.positives = positives
         self.roots: list[IntVec] = positives + [_neg(r) for r in positives]
         self.root_set = set(self.roots)
+        self._index = {r: self.rank + k for k, r in enumerate(self.roots)}
         self.order = {r: k for k, r in enumerate(positives)}
         norms = simple_root_norms(t)
         self._d = [n / 2 for n in norms]  # (alpha_i, alpha_i)/2
@@ -145,7 +146,7 @@ class ChevalleyModel:
     # Cartan generators h_i and rank+k is the root vector of self.roots[k].
 
     def root_index(self, root: IntVec) -> int:
-        return self.rank + self.roots.index(root)
+        return self._index[root]
 
     def cartan_element(self, coroot_coeffs) -> dict[int, Q]:
         return {i: Q(c) for i, c in enumerate(coroot_coeffs) if c != 0}
@@ -220,34 +221,10 @@ class TripleWitness:
         }
 
 
-def _try_solve(model: ChevalleyModel, d, coeffs: list[Q], r2: list[IntVec]) -> Optional[dict[int, Q]]:
-    """Solve [E, F] = H for F in g_{-2}; returns F's sparse element or None."""
-    rank = model.rank
-    e_elt = {model.root_index(beta): c for beta, c in zip(r2, coeffs) if c != 0}
-    # g_0 coordinates: Cartan 0..rank-1 followed by zero-pairing root vectors
-    r0 = [beta for beta in model.roots if sum(m * w for m, w in zip(beta, d)) == 0]
-    coord = {i: i for i in range(rank)}
-    for k, beta in enumerate(r0):
-        coord[model.root_index(beta)] = rank + k
-    nrows = rank + len(r0)
-    columns = []
-    for delta in r2:
-        col_elt = model.bracket(e_elt, {model.root_index(_neg(delta)): Q(1)})
-        col = [Q(0)] * nrows
-        for idx, val in col_elt.items():
-            col[coord[idx]] = val
-        columns.append(col)
-    a_t = model.cartan
-    h_coeffs = solve([[Q(a_t[j][i]) for j in range(rank)] for i in range(rank)], [Q(x) for x in d])
-    rhs = [Q(0)] * nrows
-    for i, c in enumerate(h_coeffs):
-        rhs[i] = c
-    rows = [[columns[j][i] for j in range(len(r2))] for i in range(nrows)]
-    y = solve(rows, rhs)
-    if y is None:
-        return None
-    f_elt = {model.root_index(_neg(delta)): yv for delta, yv in zip(r2, y) if yv != 0}
-    return f_elt
+def _integral(value: Q) -> int:
+    if value.denominator != 1:
+        raise AssertionError("non-integral entry of ad(e_beta)")
+    return value.numerator
 
 
 def is_characteristic(
@@ -257,8 +234,11 @@ def is_characteristic(
 ) -> tuple[bool, Optional[TripleWitness]]:
     """Decide whether `d` is the characteristic of a nilpotent orbit.
 
-    A True answer is certified by an exact witness.  A False answer is
-    probabilistic: random small-coefficient E in g_2 are tried, then a
+    Each trial picks E = sum c_beta e_beta in g_2 and solves [E, F] = H for F
+    in g_{-2} by exact integer elimination: the matrices of ad(e_beta) from
+    g_{-2} to g_0 are built once per diagram, so a trial only sums them.  A
+    True answer is certified by exact brackets of the witness.  A False answer
+    is probabilistic: random small-coefficient E are tried, then a
     deterministic {0,1}-coefficient sweep when g_2 is small enough.
     """
     t = model.root_system.simple_type
@@ -274,12 +254,26 @@ def is_characteristic(
     if not r2:
         return False, None
 
-    def certify(f_elt, coeffs) -> TripleWitness:
-        e_elt = {model.root_index(beta): c for beta, c in zip(r2, coeffs) if c != 0}
-        h_coeffs = solve(
-            [[Q(model.cartan[j][i]) for j in range(model.rank)] for i in range(model.rank)],
-            [Q(x) for x in weights],
-        )
+    rank = model.rank
+    # g_0 coordinates: Cartan 0..rank-1 followed by zero-degree root vectors
+    r0 = [beta for beta in model.roots if sum(m * w for m, w in zip(beta, weights)) == 0]
+    coord = {beta: rank + k for k, beta in enumerate(r0)}
+    h_coeffs = solve([[model.cartan[j][i] for j in range(rank)] for i in range(rank)], weights)
+    rhs = h_coeffs + [0] * len(r0)
+    # ad(e_beta): g_{-2} -> g_0 as (g_0 row, g_{-2} column, entry) triples
+    ad_e = []
+    for beta in r2:
+        entries = []
+        for j, delta in enumerate(r2):
+            if beta == delta:
+                entries.extend((i, j, _integral(c)) for i, c in enumerate(model.coroot_coefficients(beta)) if c)
+            elif (gamma := _sub(beta, delta)) in coord:
+                entries.append((coord[gamma], j, _integral(model.n(beta, _neg(delta)))))
+        ad_e.append(entries)
+
+    def certify(coeffs, y) -> TripleWitness:
+        e_elt = {model.root_index(beta): Q(c) for beta, c in zip(r2, coeffs) if c != 0}
+        f_elt = {model.root_index(_neg(delta)): v for delta, v in zip(r2, y) if v != 0}
         h_elt = model.cartan_element(h_coeffs)
         assert model.bracket(h_elt, e_elt) == {k: 2 * v for k, v in e_elt.items()}
         assert model.bracket(h_elt, f_elt) == {k: -2 * v for k, v in f_elt.items()}
@@ -288,19 +282,23 @@ def is_characteristic(
         f_pairs = tuple((model.roots[k - model.rank], c) for k, c in sorted(f_elt.items()))
         return TripleWitness(d, e_pairs, f_pairs)
 
-    seed = zlib.crc32(f"{t}|{weights}".encode())
-    rng = random.Random(seed)
-    for trial in range(trials):
-        spread = 3 if trial < trials // 2 else 9
-        pool = [x for x in range(-spread, spread + 1) if x != 0]
-        coeffs = [Q(rng.choice(pool)) for _ in r2]
-        f_elt = _try_solve(model, weights, coeffs, r2)
-        if f_elt is not None:
-            return True, certify(f_elt, coeffs)
-    if len(r2) <= SWEEP_DIM_CAP:
-        for mask in range(1, 1 << len(r2)):
-            coeffs = [Q((mask >> k) & 1) for k in range(len(r2))]
-            f_elt = _try_solve(model, weights, coeffs, r2)
-            if f_elt is not None:
-                return True, certify(f_elt, coeffs)
+    def candidates():
+        rng = random.Random(zlib.crc32(f"{t}|{weights}".encode()))
+        for trial in range(trials):
+            spread = 3 if trial < trials // 2 else 9
+            pool = [x for x in range(-spread, spread + 1) if x != 0]
+            yield [rng.choice(pool) for _ in r2]
+        if len(r2) <= SWEEP_DIM_CAP:
+            for mask in range(1, 1 << len(r2)):
+                yield [(mask >> k) & 1 for k in range(len(r2))]
+
+    for coeffs in candidates():
+        a = [[0] * len(r2) for _ in range(len(rhs))]
+        for c, entries in zip(coeffs, ad_e):
+            if c:
+                for i, j, v in entries:
+                    a[i][j] += c * v
+        y = solve(a, rhs)
+        if y is not None:
+            return True, certify(coeffs, y)
     return False, None

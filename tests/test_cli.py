@@ -79,6 +79,12 @@ def test_orbits_oracle_witnesses(capsys):
     assert principal["witness"]["E"]  # nonzero nilpotent side
 
 
+def test_oracle_trials_below_one_is_usage_error(capsys):
+    for value in ("0", "-3"):
+        assert main(["orbits", "f4(4)", "--oracle", "--trials", value]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+
 def test_orbits_contains_zero_orbit(capsys):
     assert main(["orbits", "e7(-5)", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

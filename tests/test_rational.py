@@ -93,3 +93,40 @@ def test_intersection_contained_in_both(rows_a, rows_b):
 def test_dimension_formula_with_constraints(rows):
     s = RationalSubspace.span_of(4, rows)
     assert len(s.constraints()) == 4 - s.dim
+
+
+def rref_solution(rows, rhs):
+    """Reference for `solve`: the rref of the augmented matrix, free variables 0."""
+    ncols = len(rows[0])
+    x = [Q(0)] * ncols
+    for row in rref([list(r) + [b] for r, b in zip(rows, rhs)]):
+        pivot = next(c for c, v in enumerate(row) if v != 0)
+        if pivot == ncols:
+            return None
+        x[pivot] = row[ncols]
+    return x
+
+
+@st.composite
+def linear_systems(draw):
+    """Small int/Fraction systems; appended row combinations make them rank
+    deficient, and a shifted right-hand side on such a row inconsistent."""
+    entry = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4), small_fracs)
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        k = draw(small_fracs)
+        shift = draw(st.sampled_from([0, 0, 1]))
+        rows.append([k * a + b for a, b in zip(rows[i], rows[j])])
+        rhs.append(k * rhs[i] + rhs[j] + shift)
+    return rows, rhs
+
+
+@given(linear_systems())
+def test_solve_agrees_with_rref_reference(system):
+    rows, rhs = system
+    assert solve(rows, rhs) == rref_solution(rows, rhs)

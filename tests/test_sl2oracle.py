@@ -176,7 +176,10 @@ def test_every_embedded_e_table_row_is_certified(rank):
         assert witness is not None
 
 
-@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize(
+    "fam,rank",
+    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("A", 5), ("B", 4), ("C", 4), ("F", 4)],
+)
 def test_oracle_agrees_with_enumeration(fam, rank):
     t = SimpleType(fam, rank)
     model = build_chevalley(t)
