@@ -13,22 +13,19 @@ Run from the repository root:
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction as Q
 from itertools import product
 
-sys.path.insert(0, "src")
-
-from orbitspan.nilorbits import Partition, diagram_of_partition  # noqa: E402
-from orbitspan.rational import solve  # noqa: E402
-from orbitspan.rootcore import (  # noqa: E402
+from orbitspan.nilorbits import Partition, diagram_of_partition
+from orbitspan.rational import solve
+from orbitspan.rootcore import (
     SimpleType,
     WeightedDiagram,
     build_root_system,
     cartan_matrix,
     dominantize_weights,
 )
-from orbitspan.sl2oracle import build_chevalley, is_characteristic  # noqa: E402
+from orbitspan.sl2oracle import build_chevalley, is_characteristic
 
 EXPECTED_COUNTS = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 

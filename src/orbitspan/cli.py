@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .nilorbits import orbit_diagram_json
@@ -78,18 +77,10 @@ def _resolve_labels(args) -> list[RealFormLabel]:
 
 
 def cmd_verify(args) -> int:
-    labels = _resolve_labels(args)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(verify_theorem, labels))
     lines = []
     all_ok = True
-    for report in reports:
-        verified = (
-            report.theorem_holds
-            and report.easy_inclusion_holds
-            and report.paper_basis_verified in (True, None)
-        )
-        all_ok = all_ok and verified
+    for report in map(verify_theorem, _resolve_labels(args)):
+        all_ok = all_ok and report.verified
         if args.format == "json":
             record = report.to_json()
             if args.verbose:
@@ -97,7 +88,7 @@ def cmd_verify(args) -> int:
             lines.append(_json_dumps(record))
         else:
             basis = ", ".join(str(b) for b in report.greedy_basis)
-            status = "ok" if verified else "FAILED"
+            status = "ok" if report.verified else "FAILED"
             lines.append(
                 f"{report.label!s:12s} {report.simple_type} dim_b={report.dim_b} "
                 f"dim_span={report.dim_span} theorem={report.theorem_holds} "
@@ -206,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="verify the whole catalog")
     p_verify.add_argument("--bound", type=int, default=12, help="rank bound for --all (default 12)")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--jobs", type=int, default=4, help="worker pool size")
     p_verify.add_argument("--verbose", action="store_true", help="include all matching diagrams in reports")
     p_verify.add_argument("--out", help="write output to a file")
     p_verify.set_defaults(func=cmd_verify)

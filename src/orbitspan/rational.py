@@ -151,20 +151,17 @@ class RationalSubspace:
                 residual = [a - factor * b for a, b in zip(residual, row)]
         return all(x == 0 for x in residual)
 
-    def contains_subspace(self, other: "RationalSubspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
 
-    def constraints(self) -> list[Vec]:
-        """Rows c with self = {x : c . x = 0 for all c}."""
-        return nullspace(list(self.basis), self.ambient_dimension)
-
-    def intersection(self, other: "RationalSubspace") -> "RationalSubspace":
-        if self.ambient_dimension != other.ambient_dimension:
-            raise ValueError("ambient dimensions differ")
-        return RationalSubspace.from_constraints(
-            self.ambient_dimension, self.constraints() + other.constraints()
-        )
-
-    def plus_vector_dim(self, vector: Sequence[Q]) -> int:
-        """Dimension of span(self, vector) without building the new subspace."""
-        return self.dim + (0 if self.contains(vector) else 1)
+def coordinate_kernel(n: int, zero: Iterable[int] = (), equal: Iterable[tuple[int, int]] = ()) -> RationalSubspace:
+    """The subspace of Q^n cut out by x[i] = 0 for i in `zero` and x[i] = x[j]
+    for (i, j) in `equal`."""
+    constraints = []
+    for i in zero:
+        row = [0] * n
+        row[i] = 1
+        constraints.append(row)
+    for i, j in equal:
+        row = [0] * n
+        row[i], row[j] = 1, -1
+        constraints.append(row)
+    return RationalSubspace.from_constraints(n, constraints)

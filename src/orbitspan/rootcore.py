@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .rational import RationalSubspace, Vec
+from .rational import RationalSubspace, Vec, coordinate_kernel
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -260,17 +260,8 @@ def opposition_involution(rs: RootSystemData) -> DiagramInvolution:
 
 def iota_fixed_subspace(rs: RootSystemData) -> RationalSubspace:
     """Diagram-space subspace cut out by weight(n) = weight(iota(n))."""
-    l = rs.rank
     iota = opposition_involution(rs).permutation
-    constraints = []
-    for i in range(l):
-        j = iota[i]
-        if j > i:
-            row = [Q(0)] * l
-            row[i] = Q(1)
-            row[j] = Q(-1)
-            constraints.append(row)
-    return RationalSubspace.from_constraints(l, constraints)
+    return coordinate_kernel(rs.rank, equal=[(i, j) for i, j in enumerate(iota) if i < j])
 
 
 def root_pairing(root: tuple[int, ...], diagram: WeightedDiagram) -> Q:

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 
-from .rational import RationalSubspace
+from .rational import RationalSubspace, coordinate_kernel
 from .rootcore import (
     SimpleType,
     WeightedDiagram,
     build_root_system,
-    iota_fixed_subspace,
+    opposition_involution,
 )
 
 
@@ -21,17 +20,15 @@ class LabelError(ValueError):
     """Rejected real-form label (compact, non-simple, alias or out of range)."""
 
 
-# kind -> (display pattern, parameter names); parameters are positive integers
-# except the exceptional signature which is carried verbatim.
-_EXCEPTIONAL_SIGNATURES = {
-    "e6": (6, 2, -14, -26),
-    "e7": (7, -5, -25),
-    "e8": (8, -24),
-    "f4": (4, -20),
-    "g2": (2,),
+# exceptional kind -> (complex type, signatures); the first signature is the
+# split form.  The complex algebra viewed as real has kind "<kind>C", e.g. e6C.
+_EXCEPTIONAL = {
+    "e6": (SimpleType("E", 6), (6, 2, -14, -26)),
+    "e7": (SimpleType("E", 7), (7, -5, -25)),
+    "e8": (SimpleType("E", 8), (8, -24)),
+    "f4": (SimpleType("F", 4), (4, -20)),
+    "g2": (SimpleType("G", 2), (2,)),
 }
-
-_COMPLEX_EXCEPTIONAL = {"e6C": ("E", 6), "e7C": ("E", 7), "e8C": ("E", 8), "f4C": ("F", 4), "g2C": ("G", 2)}
 
 
 @dataclass(frozen=True, order=True)
@@ -57,12 +54,12 @@ class RealFormLabel:
             return f"sp({p[0]},{p[1]})"
         if k == "so*":
             return f"so*({p[0]})"
-        if k in _EXCEPTIONAL_SIGNATURES:
+        if k in _EXCEPTIONAL:
             return f"{k}({p[0]})"
         if k in ("slC", "soC", "spC"):
             return f"{k[:2]}C({p[0]})"
-        if k in _COMPLEX_EXCEPTIONAL:
-            return f"{k[:2]}C"
+        if self.is_complex and k[:-1] in _EXCEPTIONAL:
+            return k
         raise AssertionError(k)
 
     @property
@@ -94,7 +91,7 @@ def parse_label(text: str) -> RealFormLabel:
         return validate_label(RealFormLabel(head, (first,)))
     if head in ("slC", "soC", "spC"):
         return validate_label(RealFormLabel(head, (first,)))
-    if head in _EXCEPTIONAL_SIGNATURES and second is None:
+    if head in _EXCEPTIONAL and second is None:
         return validate_label(RealFormLabel(head, (first,)))
     raise LabelError(f"cannot parse label {text!r}; see `orbitspan forms` for the grammar")
 
@@ -161,11 +158,11 @@ def underlying_type(label: RealFormLabel) -> SimpleType:
         if n == 6:
             fail("so*(6) is an alias of su(3,1); D_3 is excluded")
         return SimpleType("D", n // 2)
-    if k in _EXCEPTIONAL_SIGNATURES:
-        if p[0] not in _EXCEPTIONAL_SIGNATURES[k]:
-            fail(f"signature must be one of {_EXCEPTIONAL_SIGNATURES[k]}")
-        return SimpleType({"e6": ("E", 6), "e7": ("E", 7), "e8": ("E", 8), "f4": ("F", 4), "g2": ("G", 2)}[k][0],
-                          {"e6": 6, "e7": 7, "e8": 8, "f4": 4, "g2": 2}[k])
+    if k in _EXCEPTIONAL:
+        t, signatures = _EXCEPTIONAL[k]
+        if p[0] not in signatures:
+            fail(f"signature must be one of {signatures}")
+        return t
     if k == "slC":
         if p[0] < 2:
             fail("needs n >= 2")
@@ -182,8 +179,8 @@ def underlying_type(label: RealFormLabel) -> SimpleType:
         if p[0] < 2:
             fail("needs l >= 2 (sp(1,C) is slC(2))")
         return SimpleType("C", p[0])
-    if k in _COMPLEX_EXCEPTIONAL:
-        return SimpleType(*_COMPLEX_EXCEPTIONAL[k])
+    if label.is_complex and k[:-1] in _EXCEPTIONAL:
+        return _EXCEPTIONAL[k[:-1]][0]
     fail("unknown label kind")
 
 
@@ -232,9 +229,7 @@ def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
     if label.is_complex:
         # complex simple algebras reduce to their split real form
         return SatakeDiagram(t, frozenset(), ())
-    if k in ("sl", "spR") or (k, tuple(p)) in (
-        ("e6", (6,)), ("e7", (7,)), ("e8", (8,)), ("f4", (4,)), ("g2", (2,)),
-    ):
+    if k in ("sl", "spR") or (k in _EXCEPTIONAL and tuple(p) == _EXCEPTIONAL[k][1][:1]):
         return SatakeDiagram(t, frozenset(), ())
     if k == "su*":
         return SatakeDiagram(t, frozenset(range(0, l, 2)), ())
@@ -286,90 +281,17 @@ def matches(d: WeightedDiagram, s: SatakeDiagram) -> bool:
 
 def matching_subspace(s: SatakeDiagram) -> RationalSubspace:
     """The subspace {d : matches(d, s)}; its dimension is the real rank."""
-    l = s.simple_type.rank
-    constraints = []
-    for b in sorted(s.black_nodes):
-        row = [Q(0)] * l
-        row[b] = Q(1)
-        constraints.append(row)
-    for i, j in s.arrows:
-        row = [Q(0)] * l
-        row[i], row[j] = Q(1), Q(-1)
-        constraints.append(row)
-    return RationalSubspace.from_constraints(l, constraints)
+    return coordinate_kernel(s.simple_type.rank, s.black_nodes, s.arrows)
 
 
 @lru_cache(maxsize=None)
 def b_subspace(label: RealFormLabel) -> RationalSubspace:
-    """Matching subspace intersected with the opposition-involution-fixed one."""
-    t = underlying_type(label)
-    rs = build_root_system(t)
-    return matching_subspace(satake_catalog(label)).intersection(iota_fixed_subspace(rs))
-
-
-def _constraint_subspace(l: int, zero_nodes=(), equal_pairs=()) -> RationalSubspace:
-    constraints = []
-    for z in zero_nodes:
-        row = [Q(0)] * l
-        row[z] = Q(1)
-        constraints.append(row)
-    for i, j in equal_pairs:
-        row = [Q(0)] * l
-        row[i], row[j] = Q(1), Q(-1)
-        constraints.append(row)
-    return RationalSubspace.from_constraints(l, constraints)
-
-
-def expected_b_form(label: RealFormLabel) -> RationalSubspace:
-    """The subspace transcribed from the published per-form tables (golden data)."""
-    t = underlying_type(label)
-    l = t.rank
-    k, p = label.kind, label.params
-    if label.is_complex:
-        return expected_b_form(_split_label(t))
-    palindrome = [(i, l - 1 - i) for i in range(l // 2)]
-    if k in ("sl", "su"):
-        return _constraint_subspace(l, (), palindrome) if k == "sl" else _constraint_subspace(
-            l, range(p[1], l - p[1]), palindrome
-        )
-    if k == "su*":
-        return _constraint_subspace(l, range(0, l, 2), palindrome)
-    if k == "so" and t.family == "B":
-        return _constraint_subspace(l, range(p[1], l))
-    if k == "spR":
-        return RationalSubspace.full(l)
-    if k == "sp":
-        q = p[1]
-        white = {2 * i + 1 for i in range(q)}
-        return _constraint_subspace(l, sorted(set(range(l)) - white))
-    if k == "so" and t.family == "D":
-        pp, q = p
-        if pp == q:
-            return RationalSubspace.full(l) if l % 2 == 0 else _constraint_subspace(l, (), [(l - 2, l - 1)])
-        if pp == q + 2:
-            return _constraint_subspace(l, (), [(l - 2, l - 1)])
-        return _constraint_subspace(l, range(q, l))
-    if k == "so*":
-        m, odd = divmod(l, 2)
-        if odd:
-            return _constraint_subspace(l, range(0, l - 2, 2), [(l - 2, l - 1)])
-        return _constraint_subspace(l, range(0, l, 2))
-    expected = {
-        ("e6", (6,)): ((), [(0, 4), (1, 3)]),
-        ("e6", (2,)): ((), [(0, 4), (1, 3)]),
-        ("e6", (-14,)): ((1, 2, 3), [(0, 4)]),
-        ("e6", (-26,)): ((1, 2, 3, 5), [(0, 4)]),
-        ("e7", (7,)): ((), ()),
-        ("e7", (-5,)): ((0, 2, 6), ()),
-        ("e7", (-25,)): ((2, 3, 4, 6), ()),
-        ("e8", (8,)): ((), ()),
-        ("e8", (-24,)): ((3, 4, 5, 7), ()),
-        ("f4", (4,)): ((), ()),
-        ("f4", (-20,)): ((0, 1, 2), ()),
-        ("g2", (2,)): ((), ()),
-    }
-    zeros, pairs = expected[(k, tuple(p))]
-    return _constraint_subspace(l, zeros, pairs)
+    """Matching subspace intersected with the opposition-involution-fixed one:
+    black nodes are zero, and arrow pairs and -w0 node pairs carry equal weights."""
+    s = satake_catalog(label)
+    iota = opposition_involution(build_root_system(s.simple_type)).permutation
+    iota_pairs = [(i, j) for i, j in enumerate(iota) if i < j]
+    return coordinate_kernel(s.simple_type.rank, s.black_nodes, [*s.arrows, *iota_pairs])
 
 
 def _split_label(t: SimpleType) -> RealFormLabel:
@@ -382,13 +304,7 @@ def _split_label(t: SimpleType) -> RealFormLabel:
         return RealFormLabel("spR", (t.rank,))
     if t.family == "D":
         return RealFormLabel("so", (t.rank, t.rank))
-    return {
-        ("E", 6): RealFormLabel("e6", (6,)),
-        ("E", 7): RealFormLabel("e7", (7,)),
-        ("E", 8): RealFormLabel("e8", (8,)),
-        ("F", 4): RealFormLabel("f4", (4,)),
-        ("G", 2): RealFormLabel("g2", (2,)),
-    }[(t.family, t.rank)]
+    return next(RealFormLabel(k, sigs[:1]) for k, (et, sigs) in _EXCEPTIONAL.items() if et == t)
 
 
 def split_label_of(label: RealFormLabel) -> RealFormLabel:
@@ -419,14 +335,14 @@ def catalog_labels(rank_bound: int = 12, include_complex: bool = True) -> list[R
         out.extend(RealFormLabel("so", (n - q, q)) for q in range(1, l + 1))
         if n != 6:
             out.append(RealFormLabel("so*", (n,)))
-    for kind, signatures in _EXCEPTIONAL_SIGNATURES.items():
+    for kind, (_, signatures) in _EXCEPTIONAL.items():
         out.extend(RealFormLabel(kind, (s,)) for s in signatures)
     if include_complex:
         out.extend(RealFormLabel("slC", (n,)) for n in range(2, rank_bound + 2))
         out.extend(RealFormLabel("soC", (2 * k + 1,)) for k in range(2, rank_bound + 1))
         out.extend(RealFormLabel("spC", (i,)) for i in range(2, rank_bound + 1))
         out.extend(RealFormLabel("soC", (2 * k,)) for k in range(4, rank_bound + 1))
-        out.extend(RealFormLabel(k) for k in _COMPLEX_EXCEPTIONAL)
+        out.extend(RealFormLabel(k + "C") for k in _EXCEPTIONAL)
     return sorted(out, key=str)
 
 

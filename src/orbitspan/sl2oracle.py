@@ -275,9 +275,12 @@ def is_characteristic(
         e_elt = {model.root_index(beta): Q(c) for beta, c in zip(r2, coeffs) if c != 0}
         f_elt = {model.root_index(_neg(delta)): v for delta, v in zip(r2, y) if v != 0}
         h_elt = model.cartan_element(h_coeffs)
-        assert model.bracket(h_elt, e_elt) == {k: 2 * v for k, v in e_elt.items()}
-        assert model.bracket(h_elt, f_elt) == {k: -2 * v for k, v in f_elt.items()}
-        assert model.bracket(e_elt, f_elt) == h_elt
+        if model.bracket(h_elt, e_elt) != {k: 2 * v for k, v in e_elt.items()}:
+            raise AssertionError("witness fails [H, E] = 2E")
+        if model.bracket(h_elt, f_elt) != {k: -2 * v for k, v in f_elt.items()}:
+            raise AssertionError("witness fails [H, F] = -2F")
+        if model.bracket(e_elt, f_elt) != h_elt:
+            raise AssertionError("witness fails [E, F] = H")
         e_pairs = tuple((model.roots[k - model.rank], c) for k, c in sorted(e_elt.items()))
         f_pairs = tuple((model.roots[k - model.rank], c) for k, c in sorted(f_elt.items()))
         return TripleWitness(d, e_pairs, f_pairs)

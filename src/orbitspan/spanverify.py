@@ -45,7 +45,12 @@ class VerificationReport:
     theorem_holds: bool
     greedy_basis: tuple[OrbitLabel, ...]
     easy_inclusion_holds: bool
-    paper_basis_verified: Optional[bool]
+    paper_basis_verified: bool
+
+    @property
+    def verified(self) -> bool:
+        """The verdict: the span theorem, the easy inclusion and the published basis all hold."""
+        return self.theorem_holds and self.easy_inclusion_holds and self.paper_basis_verified
 
     def to_json(self) -> dict:
         return {
@@ -74,11 +79,10 @@ def h_n_a_plus(label: RealFormLabel) -> list[OrbitDiagram]:
     return filter_matching(enumerate_complex_characteristics(t), satake_catalog(label))
 
 
-def check_easy_inclusion(label: RealFormLabel) -> bool:
-    """Every matching diagram is fixed by the opposition involution."""
-    t = underlying_type(label)
+def check_easy_inclusion(t: SimpleType, matching: Iterable[OrbitDiagram]) -> bool:
+    """Every matching diagram is fixed by the opposition involution of `t`."""
     iota = opposition_involution(build_root_system(t))
-    return all(iota.apply(od.diagram) == od.diagram for od in h_n_a_plus(label))
+    return all(iota.apply(od.diagram) == od.diagram for od in matching)
 
 
 def span_of(diagrams: Sequence[WeightedDiagram]) -> RationalSubspace:
@@ -111,21 +115,16 @@ def verify_theorem(label: RealFormLabel) -> VerificationReport:
     matching = h_n_a_plus(label)
     b = b_subspace(label)
     basis_labels, span = greedy_basis_of(matching, t.rank)
-    holds = span == b
-    try:
-        paper_ok: Optional[bool] = verify_paper_basis(label)
-    except LookupError:
-        paper_ok = None
     return VerificationReport(
         label=label,
         simple_type=t,
         matching_orbits=tuple(matching),
         dim_b=b.dim,
         dim_span=span.dim,
-        theorem_holds=holds,
+        theorem_holds=span == b,
         greedy_basis=tuple(basis_labels),
-        easy_inclusion_holds=check_easy_inclusion(label),
-        paper_basis_verified=paper_ok,
+        easy_inclusion_holds=check_easy_inclusion(t, matching),
+        paper_basis_verified=verify_paper_basis(label),
     )
 
 

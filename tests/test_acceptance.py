@@ -17,15 +17,18 @@ from orbitspan.rootcore import (
     build_root_system,
     opposition_involution,
 )
-from orbitspan.satake import b_subspace, catalog_labels, expected_b_form, parse_label
+from orbitspan.satake import b_subspace, catalog_labels, parse_label, underlying_type
 from orbitspan.sl2oracle import build_chevalley, is_characteristic
 from orbitspan.spanverify import (
     check_easy_inclusion,
+    h_n_a_plus,
     paper_basis,
     verify_paper_basis,
     verify_theorem,
     _diagram_for,
 )
+
+from published_b import expected_b_form
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -59,7 +62,7 @@ def test_criterion_1_theorem_for_whole_catalog_bound_12():
 
 def test_criterion_2_easy_inclusion_everywhere():
     labels = catalog_labels(12)
-    failures = [str(l) for l in labels if not check_easy_inclusion(l)]
+    failures = [str(l) for l in labels if not check_easy_inclusion(underlying_type(l), h_n_a_plus(l))]
     _report("2: easy inclusion holds for every catalog label", not failures, f"{len(labels)} labels")
 
 
@@ -80,8 +83,6 @@ def test_criterion_4_golden_bases():
 
     def basis_weights(label_text):
         label = parse_label(label_text)
-        from orbitspan.satake import underlying_type
-
         t = underlying_type(label)
         return {
             str(lbl): tuple(int(x) for x in _diagram_for(t, lbl).diagram.weights)

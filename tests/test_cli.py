@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+from orbitspan import cli
 from orbitspan.cli import main
 
 
@@ -132,8 +134,12 @@ def test_bound_below_two_is_usage_error():
     assert "rank bound" in err
 
 
-def test_verify_all_respects_jobs_flag(tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--all", "--bound", "3", "--format", "json", "--jobs", "1", "--out", str(f1)]) == 0
-    assert main(["verify", "--all", "--bound", "3", "--format", "json", "--jobs", "8", "--out", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):
+    real = cli.verify_theorem
+    monkeypatch.setattr(cli, "verify_theorem", lambda label: replace(real(label), theorem_holds=False))
+    assert main(["verify", "g2(2)"]) == 1
+    assert capsys.readouterr().out.rstrip("\n").endswith("FAILED")
+    out_file = tmp_path / "r.json"
+    assert main(["verify", "g2(2)", "--format", "json", "--out", str(out_file)]) == 1
+    record = json.loads(out_file.read_text())
+    assert record["label"] == "g2(2)" and record["theorem_holds"] is False

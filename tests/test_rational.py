@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitspan.rational import RationalSubspace, matrix_rank, nullspace, rref, solve, vec
+from orbitspan.rational import RationalSubspace, coordinate_kernel, matrix_rank, nullspace, rref, solve, vec
 
 
 def test_rref_normalizes_pivots_and_drops_zero_rows():
@@ -40,20 +40,13 @@ def test_subspace_equality_is_structural():
     assert s1.dim == 2
 
 
-def test_constraints_round_trip():
-    s = RationalSubspace.from_constraints(4, [vec([1, -1, 0, 0]), vec([0, 0, 1, 0])])
-    assert s.dim == 2
-    back = RationalSubspace.from_constraints(4, s.constraints())
-    assert back == s
-
-
-def test_intersection_of_kernel_and_span():
-    palindromic = RationalSubspace.from_constraints(3, [vec([1, 0, -1])])
-    first_two = RationalSubspace.span_of(3, [vec([1, 0, 0]), vec([0, 1, 0])])
-    meet = palindromic.intersection(first_two)
-    assert meet.dim == 1
-    assert meet.contains(vec([0, 1, 0]))
-    assert not meet.contains(vec([1, 0, 0]))
+def test_coordinate_kernel():
+    s = coordinate_kernel(5, zero=[1], equal=[(0, 3), (3, 4)])
+    rows = [vec([0, 1, 0, 0, 0]), vec([1, 0, 0, -1, 0]), vec([0, 0, 0, 1, -1])]
+    assert s == RationalSubspace.from_constraints(5, rows)
+    assert s.basis == (vec([1, 0, 0, 1, 1]), vec([0, 0, 1, 0, 0]))
+    assert coordinate_kernel(3) == RationalSubspace.full(3)
+    assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace.zero(2)
 
 
 def test_full_and_zero():
@@ -77,22 +70,6 @@ def test_rank_bounded_and_basis_contained(rows):
     assert s.dim == matrix_rank(rows) <= 4
     for row in rows:
         assert s.contains(vec(row))
-
-
-@given(small_matrix, small_matrix)
-def test_intersection_contained_in_both(rows_a, rows_b):
-    a = RationalSubspace.span_of(4, rows_a)
-    b = RationalSubspace.span_of(4, rows_b)
-    meet = a.intersection(b)
-    assert a.contains_subspace(meet)
-    assert b.contains_subspace(meet)
-    assert meet.dim <= min(a.dim, b.dim)
-
-
-@given(small_matrix)
-def test_dimension_formula_with_constraints(rows):
-    s = RationalSubspace.span_of(4, rows)
-    assert len(s.constraints()) == 4 - s.dim
 
 
 def rref_solution(rows, rhs):

@@ -10,7 +10,6 @@ from orbitspan.satake import (
     LabelError,
     b_subspace,
     catalog_labels,
-    expected_b_form,
     matches,
     matching_subspace,
     parse_label,
@@ -18,6 +17,8 @@ from orbitspan.satake import (
     satake_to_dot,
     underlying_type,
 )
+
+from published_b import expected_b_form
 
 
 def test_label_parsing_and_canonicalization():

@@ -1,9 +1,14 @@
 """The Chevalley-model witness oracle: bracket axioms and characteristic tests."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+
+import orbitspan
 
 from orbitspan.nilorbits import enumerate_complex_characteristics
 from orbitspan.rootcore import SimpleType, WeightedDiagram
@@ -132,6 +137,33 @@ def test_witness_brackets_hold_exactly():
         assert model.bracket(e, f) == h
         assert model.bracket(h, e) == {k: 2 * v for k, v in e.items()}
         assert model.bracket(h, f) == {k: -2 * v for k, v in f.items()}
+
+
+_WRONG_BRACKET = """
+from fractions import Fraction as Q
+from orbitspan.rootcore import SimpleType, WeightedDiagram
+from orbitspan.sl2oracle import ChevalleyModel, build_chevalley, is_characteristic
+
+print("debug", __debug__)
+ChevalleyModel.bracket = lambda self, x, y: {}
+t = SimpleType("G", 2)
+is_characteristic(build_chevalley(t), WeightedDiagram(t, (Q(2), Q(2))))
+"""
+
+
+def test_certification_survives_optimized_mode():
+    """Under `python -O` a witness whose brackets are wrong is still refused."""
+    src = os.path.dirname(os.path.dirname(orbitspan.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_BRACKET],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "debug False"
+    assert proc.returncode != 0
+    assert "AssertionError: witness fails" in proc.stderr
 
 
 def test_oracle_rejects_bad_weights():

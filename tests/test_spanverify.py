@@ -1,5 +1,7 @@
 """The matching filter, spans, and per-form verification reports."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from orbitspan.rational import vec
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import catalog_labels, parse_label, satake_catalog, underlying_type
 from orbitspan.spanverify import (
+    VerificationReport,
     check_easy_inclusion,
     filter_matching,
     h_n_a_plus,
@@ -49,15 +52,19 @@ def test_zero_orbit_always_matches_and_never_in_basis():
         assert zeros[0].label not in report.greedy_basis
 
 
+def easy_inclusion(label):
+    return check_easy_inclusion(underlying_type(label), h_n_a_plus(label))
+
+
 def test_easy_inclusion_examples():
     for text in ["g2(2)", "f4(4)", "e6(6)", "e7(7)", "e8(8)", "sl(5,R)"]:
-        assert check_easy_inclusion(parse_label(text))
+        assert easy_inclusion(parse_label(text))
 
 
 def test_easy_inclusion_all_su_forms_to_rank_8():
     for n in range(2, 10):
         for q in range(1, n // 2 + 1):
-            assert check_easy_inclusion(parse_label(f"su({n - q},{q})"))
+            assert easy_inclusion(parse_label(f"su({n - q},{q})"))
 
 
 def test_sl5_includes_the_31_1_diagram():
@@ -153,3 +160,10 @@ def test_report_json_schema():
     assert r["label"] == "e6(-14)"
     assert r["type"] == "E" and r["rank"] == 6
     assert r["theorem_holds"] is True and r["paper_basis_verified"] is True
+
+
+def test_verdict_fails_when_any_check_fails():
+    report = verify_theorem(parse_label("su(3,1)"))
+    assert report.verified is True
+    for field in ("theorem_holds", "easy_inclusion_holds", "paper_basis_verified"):
+        assert replace(report, **{field: False}).verified is False, field
