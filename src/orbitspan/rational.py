@@ -104,6 +104,30 @@ def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
     return x
 
 
+def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the vectors independent of all earlier ones.  The picked span
+    is one fraction-free echelon form of gcd-normalised integer rows, each zero
+    at the pivots of the rows before it; a candidate is reduced against them in
+    that order (v = a*v - c*row) and picked iff a nonzero entry, its pivot, is left."""
+    echelon: list[tuple[int, list[int]]] = []
+    picked = []
+    for k, v in enumerate(vectors):
+        for p, row in echelon:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        pivot = next((col for col, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        g = gcd(*v)
+        echelon.append((pivot, [x // g for x in v]))
+        picked.append(k)
+        if len(echelon) == len(v):
+            break
+    return picked
+
+
 @dataclass(frozen=True)
 class RationalSubspace:
     """A subspace of Q^n held as a canonical RREF basis; equality is structural."""

@@ -20,18 +20,6 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 
-# number of positive roots per family, used as an independent count check
-POSITIVE_ROOT_COUNTS = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "E": lambda l: {6: 36, 7: 63, 8: 120}[l],
-    "F": lambda l: 24,
-    "G": lambda l: 6,
-}
-
-
 @dataclass(frozen=True, order=True)
 class SimpleType:
     """A complex simple Lie algebra type, e.g. SimpleType('D', 5)."""
@@ -149,19 +137,13 @@ class RootSystemData:
         return self.simple_type.rank
 
 
-def _reflect(root: tuple[int, ...], i: int, a) -> tuple[int, ...]:
-    """Simple reflection s_i applied to a root in simple-root coordinates."""
-    pairing = sum(m * a[i][j] for j, m in enumerate(root))
-    out = list(root)
-    out[i] -= pairing
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystemData:
-    """Generate the positive roots by closing the simple roots under reflections."""
+    """Close the simple roots under simple reflections; s_i keeps every positive
+    root but alpha_i positive and moves it iff <root, alpha_i^vee> != 0."""
     l = t.rank
     a = cartan_matrix(t)
+    bonds = [[(j, aij) for j, aij in enumerate(row) if aij] for row in a]
     simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
     roots = set(simples)
     frontier = list(simples)
@@ -169,15 +151,14 @@ def build_root_system(t: SimpleType) -> RootSystemData:
         nxt = []
         for root in frontier:
             for i in range(l):
-                image = _reflect(root, i, a)
-                if image not in roots:
-                    roots.add(image)
-                    nxt.append(image)
+                pairing = sum(root[j] * aij for j, aij in bonds[i])
+                if pairing and root[i] >= pairing:
+                    image = root[:i] + (root[i] - pairing,) + root[i + 1 :]
+                    if image not in roots:
+                        roots.add(image)
+                        nxt.append(image)
         frontier = nxt
-    positives = sorted(
-        (r for r in roots if all(c >= 0 for c in r)),
-        key=lambda r: (sum(r), r),
-    )
+    positives = sorted(roots, key=lambda r: (sum(r), r))
     labels = tuple(f"a{i + 1}" for i in range(l))
     return RootSystemData(t, a, tuple(positives), labels)
 
@@ -225,31 +206,34 @@ class DiagramInvolution:
         return WeightedDiagram(d.simple_type, tuple(w[self.permutation[i]] for i in range(len(w))))
 
 
-def _dominantize(psi: list[Q], a) -> list[Q]:
-    """Carry a vector (in Psi-coordinates) into the closed dominant chamber."""
-    l = len(psi)
+def _dominantize(psi: list, a) -> list:
+    """Carry a vector (in Psi-coordinates) into the closed dominant chamber;
+    any order of reflecting at negative coordinates ends at the same vector."""
     psi = list(psi)
-    while True:
-        i = next((k for k in range(l) if psi[k] < 0), None)
-        if i is None:
-            return psi
-        # s_i in Psi-coordinates: psi_j -= psi_i * A[j][i]
+    columns = [[(j, row[i]) for j, row in enumerate(a) if row[i]] for i in range(len(psi))]
+    todo = [k for k, x in enumerate(psi) if x < 0]
+    while todo:
+        i = todo.pop()
         pi = psi[i]
-        for j in range(l):
-            psi[j] -= pi * a[j][i]
+        if pi < 0:
+            # s_i in Psi-coordinates: psi_j -= psi_i * A[j][i]
+            for j, aji in columns[i]:
+                psi[j] -= pi * aji
+                if psi[j] < 0:
+                    todo.append(j)
     return psi
 
 
 @lru_cache(maxsize=None)
 def opposition_involution(rs: RootSystemData) -> DiagramInvolution:
     """The node permutation induced by -w0: computed by carrying each negated
-    fundamental weight to the dominant chamber by simple reflections."""
+    fundamental weight (in `int`s) to the dominant chamber by simple reflections."""
     l = rs.rank
     a = rs.cartan_matrix
     perm = []
     for i in range(l):
-        psi = [Q(0)] * l
-        psi[i] = Q(-1)
+        psi = [0] * l
+        psi[i] = -1
         image = _dominantize(psi, a)
         ones = [j for j in range(l) if image[j] != 0]
         if len(ones) != 1 or image[ones[0]] != 1:
@@ -262,11 +246,6 @@ def iota_fixed_subspace(rs: RootSystemData) -> RationalSubspace:
     """Diagram-space subspace cut out by weight(n) = weight(iota(n))."""
     iota = opposition_involution(rs).permutation
     return coordinate_kernel(rs.rank, equal=[(i, j) for i, j in enumerate(iota) if i < j])
-
-
-def root_pairing(root: tuple[int, ...], diagram: WeightedDiagram) -> Q:
-    """Value beta(H) for the Cartan element H with Psi-coordinates `diagram`."""
-    return sum(Q(m) * w for m, w in zip(root, diagram.weights))
 
 
 def dominantize_weights(t: SimpleType, weights) -> Vec:

@@ -17,7 +17,7 @@ from .nilorbits import (
     diagram_of_partition,
     enumerate_complex_characteristics,
 )
-from .rational import RationalSubspace
+from .rational import RationalSubspace, independent_prefix
 from .rootcore import (
     SimpleType,
     WeightedDiagram,
@@ -81,8 +81,9 @@ def h_n_a_plus(label: RealFormLabel) -> list[OrbitDiagram]:
 
 def check_easy_inclusion(t: SimpleType, matching: Iterable[OrbitDiagram]) -> bool:
     """Every matching diagram is fixed by the opposition involution of `t`."""
-    iota = opposition_involution(build_root_system(t))
-    return all(iota.apply(od.diagram) == od.diagram for od in matching)
+    perm = opposition_involution(build_root_system(t)).permutation
+    swapped = [(i, j) for i, j in enumerate(perm) if i < j]
+    return all(od.diagram.weights[i] == od.diagram.weights[j] for od in matching for i, j in swapped)
 
 
 def span_of(diagrams: Sequence[WeightedDiagram]) -> RationalSubspace:
@@ -98,15 +99,11 @@ def span_of(diagrams: Sequence[WeightedDiagram]) -> RationalSubspace:
 
 
 def greedy_basis_of(matching: Sequence[OrbitDiagram], l: int) -> tuple[list[OrbitLabel], RationalSubspace]:
-    """First independent spanning subset in canonical enumeration order."""
-    span = RationalSubspace.zero(l)
-    picked: list[OrbitLabel] = []
-    for od in matching:
-        bigger = RationalSubspace.span_of(l, list(span.basis) + [od.diagram.weights])
-        if bigger.dim > span.dim:
-            span = bigger
-            picked.append(od.label)
-    return picked, span
+    """First independent spanning subset in canonical enumeration order, and
+    its span.  Orbit-diagram weights are the integers 0, 1 and 2."""
+    weights = [[w.numerator for w in od.diagram.weights] for od in matching]
+    picked = independent_prefix(weights)
+    return [matching[k].label for k in picked], RationalSubspace.span_of(l, [weights[k] for k in picked])
 
 
 def verify_theorem(label: RealFormLabel) -> VerificationReport:

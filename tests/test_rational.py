@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitspan.rational import RationalSubspace, coordinate_kernel, matrix_rank, nullspace, rref, solve, vec
+from greedy_reference import greedy_reference
+from orbitspan.rational import (
+    RationalSubspace,
+    coordinate_kernel,
+    independent_prefix,
+    matrix_rank,
+    nullspace,
+    rref,
+    solve,
+    vec,
+)
 
 
 def test_rref_normalizes_pivots_and_drops_zero_rows():
@@ -107,3 +117,40 @@ def linear_systems(draw):
 def test_solve_agrees_with_rref_reference(system):
     rows, rhs = system
     assert solve(rows, rhs) == rref_solution(rows, rhs)
+
+
+@st.composite
+def integer_vector_lists(draw):
+    """Lists of 1-12 integer vectors with negative entries, zero vectors,
+    duplicates and integer combinations of earlier vectors mixed in."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-3, max_value=3)
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        i = draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+        if kind == "zero":
+            extra = [0] * n
+        elif kind == "duplicate":
+            extra = list(vectors[i])
+        else:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            extra = [a * x + b * y for x, y in zip(vectors[i], vectors[j])]
+        vectors.insert(draw(st.integers(min_value=0, max_value=len(vectors))), extra)
+    return n, vectors
+
+
+@given(integer_vector_lists())
+def test_independent_prefix_agrees_with_greedy_reference(case):
+    n, vectors = case
+    picked = independent_prefix(vectors)
+    expected, span = greedy_reference(vectors, n)
+    assert picked == expected
+    assert RationalSubspace.span_of(n, [vectors[k] for k in picked]) == span
+
+
+def test_independent_prefix_examples():
+    assert independent_prefix([]) == []
+    assert independent_prefix([[0, 0], [2, 4], [1, 2], [0, 3], [5, 5]]) == [1, 3]
+    assert independent_prefix([[0, 1, 1], [0, 2, -1], [1, 0, 0], [3, 3, 3]]) == [0, 1, 2]

@@ -110,6 +110,24 @@ def test_involution_nontrivial_exactly_for_a_dodd_e6():
         assert all(perm[perm[i]] == i for i in range(t.rank))
 
 
+def closed_form_opposition(t):
+    """-w0 on the nodes: reversal on A_l, the fork pair swapped on D_l with l
+    odd, the a_1/a_5 and a_2/a_4 swaps on E6, and the identity otherwise."""
+    l = t.rank
+    if t.family == "A":
+        return tuple(reversed(range(l)))
+    if t.family == "D" and l % 2 == 1:
+        return tuple(range(l - 2)) + (l - 1, l - 2)
+    if (t.family, l) == ("E", 6):
+        return (4, 3, 2, 1, 0, 5)
+    return tuple(range(l))
+
+
+def test_opposition_involution_closed_form_to_rank_40():
+    for t in all_types(40):
+        assert opposition_involution(build_root_system(t)).permutation == closed_form_opposition(t), t
+
+
 def test_iota_fixed_subspace_examples():
     a3 = iota_fixed_subspace(build_root_system(SimpleType("A", 3)))
     assert a3.dim == 2

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitspan.nilorbits import enumerate_complex_characteristics
+from greedy_reference import greedy_reference
+from orbitspan.nilorbits import ClassicalLabel, OrbitDiagram, Partition, enumerate_complex_characteristics
 from orbitspan.rational import vec
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import catalog_labels, parse_label, satake_catalog, underlying_type
@@ -14,6 +15,7 @@ from orbitspan.spanverify import (
     VerificationReport,
     check_easy_inclusion,
     filter_matching,
+    greedy_basis_of,
     h_n_a_plus,
     paper_basis,
     span_of,
@@ -65,6 +67,23 @@ def test_easy_inclusion_all_su_forms_to_rank_8():
     for n in range(2, 10):
         for q in range(1, n // 2 + 1):
             assert easy_inclusion(parse_label(f"su({n - q},{q})"))
+
+
+def test_easy_inclusion_rejects_a_diagram_moved_by_minus_w0():
+    a3 = SimpleType("A", 3)
+    # (1, 0, 0) is no orbit's diagram; only the weights matter to the check
+    moved = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(a3, vec([1, 0, 0])))
+    fixed = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(a3, vec([1, 0, 1])))
+    assert check_easy_inclusion(a3, [fixed])
+    assert not check_easy_inclusion(a3, [fixed, moved])
+
+
+def test_greedy_basis_agrees_with_reference_on_catalog_to_rank_8():
+    for label in catalog_labels(8):
+        matching = h_n_a_plus(label)
+        l = underlying_type(label).rank
+        picked, span = greedy_reference([od.diagram.weights for od in matching], l)
+        assert greedy_basis_of(matching, l) == ([matching[k].label for k in picked], span), str(label)
 
 
 def test_sl5_includes_the_31_1_diagram():
