@@ -78,7 +78,7 @@ def distinguished_orbits(t: SimpleType) -> list[tuple[str, tuple[int, ...], int]
         n = 2 * t.rank
         for parts in _distinct_odd_partitions(n):
             d = diagram_of_partition(t, Partition(parts))
-            w = tuple(int(x) for x in d.diagram.weights)
+            w = d.diagram.weights
             rows.append((parts, w, orbit_dim(t, w)))
         rows.sort(key=lambda r: -r[2])
         out = [(f"D_{t.rank}", rows[0][1], rows[0][2])]
@@ -93,7 +93,7 @@ def distinguished_orbits(t: SimpleType) -> list[tuple[str, tuple[int, ...], int]
                 continue
             if not is_distinguished_candidate(t, bits):
                 continue
-            d = WeightedDiagram(t, tuple(Q(b) for b in bits))
+            d = WeightedDiagram(t, bits)
             ok, _ = is_characteristic(model, d)
             if ok:
                 rows.append((bits, orbit_dim(t, bits)))
@@ -191,8 +191,8 @@ def embed_weights(big: SimpleType, placed: list[tuple[SimpleType, list[int], tup
     for ct, order, w in placed:
         a_c = [[a_big[order[i]][order[j]] for j in range(ct.rank)] for i in range(ct.rank)]
         # coroot coefficients x with (A_c)^T x = w
-        rows = [[Q(a_c[j][i]) for j in range(ct.rank)] for i in range(ct.rank)]
-        x = solve(rows, [Q(v) for v in w])
+        rows = [[a_c[j][i] for j in range(ct.rank)] for i in range(ct.rank)]
+        x = solve(rows, w)
         for i in range(ct.rank):
             for j in range(l):
                 psi[j] += x[i] * a_big[order[i]][j]
@@ -284,14 +284,14 @@ def main():
         assert len(named) == expected, f"{t}: got {len(named)}"
         model = build_chevalley(t, max_rank=8)
         for psi in sorted(named):
-            d = WeightedDiagram(t, tuple(Q(x) for x in psi))
+            d = WeightedDiagram(t, psi)
             ok, _ = is_characteristic(model, d)
             assert ok, f"{t} {named[psi]} {psi} failed oracle certification"
         print("  all rows oracle-certified")
         if str(t) == "E6":
             found = set()
             for bits in product((0, 1, 2), repeat=6):
-                d = WeightedDiagram(t, tuple(Q(b) for b in bits))
+                d = WeightedDiagram(t, bits)
                 ok, _ = is_characteristic(model, d)
                 if ok:
                     found.add(bits)

@@ -51,8 +51,11 @@ def _json_dumps(obj) -> str:
 
 def _write(out: Optional[str], text: str) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -151,6 +154,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    if args.h and not args.g:
+        raise ValueError("--h needs --g: a subalgebra is looked up within one algebra")
     if args.g and args.h:
         found = lookup_pair(args.g, args.h)
         if args.format == "json":
@@ -230,10 +235,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # LabelError included; also an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

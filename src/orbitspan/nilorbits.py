@@ -4,7 +4,6 @@ the classical types, embedded tables for the exceptional types."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import groupby
 from typing import Optional
@@ -78,7 +77,7 @@ class OrbitDiagram:
 
     def __post_init__(self):
         for w in self.diagram.weights:
-            if w.denominator != 1 or w < 0 or w > 2:
+            if type(w) is not int or not 0 <= w <= 2:
                 raise ValueError(f"orbit diagram weights must be 0, 1 or 2; got {w}")
 
 
@@ -164,18 +163,18 @@ def diagram_of_partition(
     l = t.rank
     h = _h_values(p)
     if t.family == "A":
-        weights = [Q(h[i] - h[i + 1]) for i in range(l)]
+        weights = [h[i] - h[i + 1] for i in range(l)]
         return OrbitDiagram(ClassicalLabel(p), WeightedDiagram(t, tuple(weights)))
 
     top = h[:l]
-    weights = [Q(top[i] - top[i + 1]) for i in range(l - 1)]
+    weights = [top[i] - top[i + 1] for i in range(l - 1)]
     if t.family == "B":
-        weights.append(Q(top[l - 1]))
+        weights.append(top[l - 1])
     elif t.family == "C":
-        weights.append(Q(2 * top[l - 1]))
+        weights.append(2 * top[l - 1])
     else:  # D
-        upper = Q(top[l - 2] - top[l - 1])
-        lower = Q(top[l - 2] + top[l - 1])
+        upper = top[l - 2] - top[l - 1]
+        lower = top[l - 2] + top[l - 1]
         if tag == "II":
             upper, lower = lower, upper
         weights[l - 2] = upper
@@ -190,7 +189,7 @@ def exceptional_table(t: SimpleType) -> list[OrbitDiagram]:
         raise ValueError(f"{t} is classical; use classical_partitions")
     rows = exceptional_data.TABLES[str(t)]
     return [
-        OrbitDiagram(ExceptionalLabel(name), WeightedDiagram(t, tuple(Q(w) for w in weights)))
+        OrbitDiagram(ExceptionalLabel(name), WeightedDiagram(t, weights))
         for name, weights in rows
     ]
 
@@ -212,4 +211,4 @@ def enumerate_complex_characteristics(t: SimpleType) -> tuple[OrbitDiagram, ...]
 
 
 def orbit_diagram_json(od: OrbitDiagram) -> dict:
-    return {"label": str(od.label), "weights": [str(w) if w.denominator != 1 else w.numerator for w in od.diagram.weights]}
+    return {"label": str(od.label), "weights": list(od.diagram.weights)}

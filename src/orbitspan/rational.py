@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals: RREF, kernels, canonical subspaces."""
+"""Exact linear algebra over the rationals (entries are ints or Fractions): one
+fraction-free integer elimination behind RREF, solving and kernels."""
 
 from __future__ import annotations
 
@@ -15,103 +16,20 @@ def vec(values: Iterable) -> Vec:
     return tuple(Q(v) for v in values)
 
 
-def rref(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    """Reduced row echelon form; drops zero rows, pivots normalized to 1."""
-    m = [[Q(x) for x in row] for row in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        inv = m[pivot_row][col]
-        m[pivot_row] = [x / inv for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
-            break
-    return [row for row in m[:pivot_row] if any(x != 0 for x in row)]
+def _integer_row(row: Sequence[Q]) -> list[int]:
+    """An int or Fraction row scaled by the lcm of its denominators to integers."""
+    scale = lcm(*{x.denominator for x in row})
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
-    return len(rref(rows))
-
-
-def nullspace(rows: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
-    """Canonical basis of {x : row . x = 0 for every row}."""
-    reduced = rref(rows)
-    pivot_cols = []
-    for row in reduced:
-        pivot_cols.append(next(c for c in range(ncols) if row[c] != 0))
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivot_cols):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent.
-
-    Entries are ints or Fractions.  The free variables are set to 0, so the
-    answer is the particular solution read off `rref` of the augmented matrix.
-    The elimination is fraction-free: each row is scaled to integers and kept
-    gcd-normalised, and pivots are taken leftmost-first as in `rref`.  Only
-    the pivot variables of a consistent system are back-substituted.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    m = []
-    for row, b in zip(rows, rhs):
-        entries = [*row, b]
-        scale = lcm(*{x.denominator for x in entries})
-        m.append([x.numerator * (scale // x.denominator) for x in entries])
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        p = next((r for r in range(top, len(m)) if m[r][col]), None)
-        if p is None:
-            continue
-        m[top], m[p] = m[p], m[top]
-        prow = m[top]
-        a = prow[col]
-        for r in range(top + 1, len(m)):
-            b = m[r][col]
-            if b:
-                row = [a * x - b * y for x, y in zip(m[r], prow)]
-                g = gcd(*row)
-                m[r] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    # below the pivot rows every coefficient is 0, so a nonzero rhs is a contradiction
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    x = [Q(0)] * ncols
-    for row, p in zip(reversed(m[: len(pivots)]), reversed(pivots)):
-        x[p] = Q(row[ncols] - sum(a * v for a, v in zip(row[p + 1 : ncols], x[p + 1 :]) if v), row[p])
-    return x
-
-
-def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
-    """Indices of the vectors independent of all earlier ones.  The picked span
-    is one fraction-free echelon form of gcd-normalised integer rows, each zero
-    at the pivots of the rows before it; a candidate is reduced against them in
-    that order (v = a*v - c*row) and picked iff a nonzero entry, its pivot, is left."""
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The one elimination (fraction-free, after Bareiss): each row is reduced
+    against the kept rows in pick order (v = a*v - c*row) and kept, divided by
+    its gcd, iff a nonzero entry, its pivot, is left.  A kept row is zero at
+    earlier pivots.  Returns the kept indices and the (pivot, row) pairs."""
     echelon: list[tuple[int, list[int]]] = []
-    picked = []
-    for k, v in enumerate(vectors):
+    kept = []
+    for k, v in enumerate(rows):
         for p, row in echelon:
             c = v[p]
             if c:
@@ -122,10 +40,70 @@ def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
             continue
         g = gcd(*v)
         echelon.append((pivot, [x // g for x in v]))
-        picked.append(k)
+        kept.append(k)
         if len(echelon) == len(v):
             break
-    return picked
+    return kept, echelon
+
+
+def rref(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:
+    """Reduced row echelon form; drops zero rows, pivots normalized to 1.
+
+    The echelon rows are sorted by pivot and the entries above each pivot are
+    cleared in integers; each row is divided by its pivot entry only at the end.
+    """
+    reduced = sorted(_echelon(_integer_row(row) for row in rows)[1])  # pivots are distinct
+    for i, (p, prow) in enumerate(reduced):
+        a = prow[p]
+        for j in range(i):
+            q, row = reduced[j]
+            c = row[p]
+            if c:
+                row = [a * x - c * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                reduced[j] = (q, [x // g for x in row])
+    return [[Q(x, row[p]) for x in row] for p, row in reduced]
+
+
+def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
+    return len(rref(rows))
+
+
+def nullspace(rows: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
+    """Canonical basis of {x : row . x = 0 for every row}."""
+    reduced = rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
+    """One exact solution of rows . x = rhs, or None if inconsistent (a kept
+    augmented row with its pivot in the rhs column).  The pivot variables are
+    back-substituted in reverse pick order and the free ones are 0: as every
+    echelon form has the same pivots, this is what `rref` of [rows | rhs] gives.
+    """
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    echelon = _echelon(_integer_row([*row, b]) for row, b in zip(rows, rhs))[1]
+    if any(p == ncols for p, _ in echelon):
+        return None
+    x = [Q(0)] * ncols
+    for p, row in reversed(echelon):
+        x[p] = Q(row[ncols] - sum(a * v for a, v in zip(row[p + 1 : ncols], x[p + 1 :]) if v), row[p])
+    return x
+
+
+def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the integer vectors independent of all earlier ones."""
+    return _echelon(vectors)[0]
 
 
 @dataclass(frozen=True)
@@ -137,14 +115,12 @@ class RationalSubspace:
 
     @classmethod
     def span_of(cls, ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> "RationalSubspace":
-        rows = rref([vec(v) for v in vectors])
-        return cls(ambient_dimension, tuple(tuple(r) for r in rows))
+        return cls(ambient_dimension, tuple(tuple(r) for r in rref(vectors)))
 
     @classmethod
     def from_constraints(cls, ambient_dimension: int, constraints: Iterable[Sequence[Q]]) -> "RationalSubspace":
         """Kernel of the constraint matrix, i.e. {x : c . x = 0 for all c}."""
-        rows = [vec(c) for c in constraints]
-        return cls.span_of(ambient_dimension, nullspace(rows, ambient_dimension))
+        return cls.span_of(ambient_dimension, nullspace(constraints, ambient_dimension))
 
     @classmethod
     def full(cls, ambient_dimension: int) -> "RationalSubspace":

@@ -165,7 +165,8 @@ def build_root_system(t: SimpleType) -> RootSystemData:
 
 @dataclass(frozen=True)
 class WeightedDiagram:
-    """Weights on the Dynkin diagram nodes: the Psi-coordinates of a Cartan element."""
+    """Weights on the Dynkin diagram nodes: the Psi-coordinates of a Cartan
+    element.  Integral weights are stored as ints, others as Fractions."""
 
     simple_type: SimpleType
     weights: Vec
@@ -173,7 +174,8 @@ class WeightedDiagram:
     def __post_init__(self):
         if len(self.weights) != self.simple_type.rank:
             raise ValueError("weight count does not match rank")
-        object.__setattr__(self, "weights", tuple(Q(w) for w in self.weights))
+        exact = [w if type(w) is int else Q(w) for w in self.weights]
+        object.__setattr__(self, "weights", tuple(w.numerator if w.denominator == 1 else w for w in exact))
 
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.weights)

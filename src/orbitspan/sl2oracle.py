@@ -215,7 +215,7 @@ class TripleWitness:
             return {",".join(map(str, root)): str(c) for root, c in coeffs}
 
         return {
-            "H": [str(w) if w.denominator != 1 else w.numerator for w in self.h.weights],
+            "H": list(self.h.weights),
             "E": side(self.e),
             "F": side(self.f),
         }
@@ -244,10 +244,9 @@ def is_characteristic(
     t = model.root_system.simple_type
     if d.simple_type != t:
         raise ValueError("diagram type does not match the model")
-    for w in d.weights:
-        if w.denominator != 1 or w < 0:
-            raise ValueError("oracle needs nonnegative integer weights")
-    weights = [int(w) for w in d.weights]
+    weights = list(d.weights)  # the list's repr seeds the trials
+    if any(type(w) is not int or w < 0 for w in weights):
+        raise ValueError("oracle needs nonnegative integer weights")
     if all(w == 0 for w in weights):
         return True, TripleWitness(d, (), ())
     r2 = [beta for beta in model.roots if sum(m * w for m, w in zip(beta, weights)) == 2]

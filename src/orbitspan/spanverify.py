@@ -5,7 +5,6 @@ must span exactly the (-w0)-fixed subspace."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Optional, Sequence
 
 from .nilorbits import (
@@ -101,9 +100,8 @@ def span_of(diagrams: Sequence[WeightedDiagram]) -> RationalSubspace:
 def greedy_basis_of(matching: Sequence[OrbitDiagram], l: int) -> tuple[list[OrbitLabel], RationalSubspace]:
     """First independent spanning subset in canonical enumeration order, and
     its span.  Orbit-diagram weights are the integers 0, 1 and 2."""
-    weights = [[w.numerator for w in od.diagram.weights] for od in matching]
-    picked = independent_prefix(weights)
-    return [matching[k].label for k in picked], RationalSubspace.span_of(l, [weights[k] for k in picked])
+    picked = [matching[k] for k in independent_prefix(od.diagram.weights for od in matching)]
+    return [od.label for od in picked], RationalSubspace.span_of(l, [od.diagram.weights for od in picked])
 
 
 def verify_theorem(label: RealFormLabel) -> VerificationReport:
@@ -236,7 +234,7 @@ def verify_paper_basis(label: RealFormLabel) -> bool:
     diagrams = [_diagram_for(t, lbl) for lbl in labels]
     if not all(matches(od.diagram, s) for od in diagrams):
         return False
-    if not all(w in (Q(0), Q(2)) for od in diagrams for w in od.diagram.weights):
+    if not all(w in (0, 2) for od in diagrams for w in od.diagram.weights):
         return False
     span = RationalSubspace.span_of(t.rank, [od.diagram.weights for od in diagrams])
     return span.dim == len(diagrams) and span == b_subspace(label)

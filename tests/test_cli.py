@@ -117,6 +117,41 @@ def test_pairs_queries(capsys):
     assert capsys.readouterr().out.startswith("g,h,condition")
 
 
+def test_pairs_h_without_g_is_usage_error(capsys):
+    assert main(["pairs", "--h", "sp(2,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--h needs --g" in captured.err
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run_cli(["verify", "sl(2,R)", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+
+
+# `orbits --oracle --format json` bytes, as produced when weights were Fractions
+ORACLE_JSON = {
+    "sl(3,R)": '{"label":"sl(3,R)","orbits":[{"label":"[3]","weights":[2,2],"witness":{"E":{"0,1":"1","1,0":"-3"},'
+    '"F":{"-1,0":"-2/3","0,-1":"2"},"H":[2,2]}},{"label":"[2,1]","weights":[1,1],"witness":{"E":{"1,1":"2"},'
+    '"F":{"-1,-1":"1/2"},"H":[1,1]}},{"label":"[1^3]","weights":[0,0],"witness":{"E":{},"F":{},"H":[0,0]}}],'
+    '"rank":2,"type":"A"}\n',
+    "g2(2)": '{"label":"g2(2)","orbits":[{"label":"0","weights":[0,0],"witness":{"E":{},"F":{},"H":[0,0]}},'
+    '{"label":"A_1","weights":[1,0],"witness":{"E":{"2,3":"-2"},"F":{"-2,-3":"-1/2"},"H":[1,0]}},'
+    '{"label":"\\u00c3_1","weights":[0,1],"witness":{"E":{"1,2":"1"},"F":{"-1,-2":"1"},"H":[0,1]}},'
+    '{"label":"G_2(a_1)","weights":[2,0],"witness":{"E":{"1,0":"3","1,1":"2","1,2":"-1","1,3":"1"},'
+    '"F":{"-1,-1":"18/53","-1,-2":"8/53","-1,-3":"86/53","-1,0":"14/53"},"H":[2,0]}},'
+    '{"label":"G_2","weights":[2,2],"witness":{"E":{"0,1":"-1","1,0":"-1"},"F":{"-1,0":"-10","0,-1":"-6"},'
+    '"H":[2,2]}}],"rank":2,"type":"G"}\n',
+}
+
+
+def test_oracle_json_bytes_unchanged_by_integer_weights(capsys):
+    for label, expected in ORACLE_JSON.items():
+        assert main(["orbits", label, "--oracle", "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_verify_all_small_bound_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--all", "--bound", "3", "--format", "json", "--out", str(f1)]) == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orbitspan.nilorbits import (
     ClassicalLabel,
     ExceptionalLabel,
+    OrbitDiagram,
     Partition,
     classical_partitions,
     diagram_of_partition,
@@ -17,7 +18,7 @@ from orbitspan.nilorbits import (
     exceptional_table,
     is_very_even,
 )
-from orbitspan.rootcore import SimpleType
+from orbitspan.rootcore import SimpleType, WeightedDiagram
 
 
 def brute_partitions(n: int):
@@ -145,6 +146,15 @@ def test_very_even_tags_mirror_fork_weights():
     a, b = diagram_of_partition(t8, p8, "I"), diagram_of_partition(t8, p8, "II")
     wa, wb = w(a), w(b)
     assert wa[:6] == wb[:6] and (wa[6], wa[7]) == (wb[7], wb[6])
+
+
+def test_orbit_diagram_weights_must_be_int_0_1_or_2():
+    g2 = SimpleType("G", 2)
+    for bad in ((Q(1, 2), 0), (3, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            OrbitDiagram(ExceptionalLabel("x"), WeightedDiagram(g2, bad))
+    od = OrbitDiagram(ExceptionalLabel("x"), WeightedDiagram(g2, (Q(2), 1)))
+    assert [type(x) for x in od.diagram.weights] == [int, int]
 
 
 def test_tag_validation():

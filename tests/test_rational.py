@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
+from rref_reference import nullspace_reference, rref_solution
+from rref_reference import rref as rref_reference
 from orbitspan.rational import (
     RationalSubspace,
     coordinate_kernel,
@@ -82,16 +84,41 @@ def test_rank_bounded_and_basis_contained(rows):
         assert s.contains(vec(row))
 
 
-def rref_solution(rows, rhs):
-    """Reference for `solve`: the rref of the augmented matrix, free variables 0."""
-    ncols = len(rows[0])
-    x = [Q(0)] * ncols
-    for row in rref([list(r) + [b] for r, b in zip(rows, rhs)]):
-        pivot = next(c for c, v in enumerate(row) if v != 0)
-        if pivot == ncols:
-            return None
-        x[pivot] = row[ncols]
-    return x
+@st.composite
+def matrices(draw):
+    """Small int/Fraction matrices, possibly empty, with zero rows and row
+    combinations mixed in, so that many are rank deficient."""
+    entry = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4), small_fracs)
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()) or not rows:
+            extra = [0] * ncols
+        else:
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            k = draw(small_fracs)
+            extra = [k * a + b for a, b in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), extra)
+    return ncols, rows
+
+
+@given(matrices())
+def test_rref_nullspace_and_span_agree_with_fraction_reference(case):
+    ncols, rows = case
+    expected = rref_reference(rows)
+    # repr compares the entry types too: every entry is a Fraction
+    assert repr(rref(rows)) == repr(expected)
+    assert repr(nullspace(rows, ncols)) == repr(nullspace_reference(rows, ncols))
+    assert RationalSubspace.span_of(ncols, rows).basis == tuple(tuple(r) for r in expected)
+
+
+def test_rref_edge_cases():
+    assert rref([]) == []
+    assert rref([[0, 0], [Q(0), 0]]) == []
+    assert nullspace([], 2) == [vec([1, 0]), vec([0, 1])]
+    assert RationalSubspace.span_of(3, []) == RationalSubspace.zero(3)
+    assert rref([[0, Q(1, 2), 1], [3, 0, 0], [0, 2, 4]]) == [[1, 0, 0], [0, 1, 2]]
 
 
 @st.composite

@@ -156,6 +156,12 @@ def test_involution_acts_on_diagrams():
     assert inv.apply(inv.apply(d)) == d
 
 
+def test_weighted_diagram_stores_integral_weights_as_ints():
+    d = WeightedDiagram(SimpleType("A", 3), (Q(2), Q(1, 2), 0))
+    assert [type(x) for x in d.weights] == [int, Q, int]
+    assert d.weights == (2, Q(1, 2), 0)
+
+
 def test_weighted_diagram_validates_rank():
     with pytest.raises(ValueError):
         WeightedDiagram(SimpleType("A", 2), (Q(1),))
