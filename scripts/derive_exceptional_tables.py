@@ -27,6 +27,13 @@ from orbitspan.rootcore import (
 )
 from orbitspan.sl2oracle import build_chevalley, is_characteristic
 
+
+def check(condition: bool, detail: str) -> None:
+    """Stop on a failed derivation step; unlike `assert`, `python -O` keeps it."""
+    if not condition:
+        raise RuntimeError(detail)
+
+
 EXPECTED_COUNTS = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 
 # decorated-name sequences per component type, in decreasing orbit dimension
@@ -99,8 +106,8 @@ def distinguished_orbits(t: SimpleType) -> list[tuple[str, tuple[int, ...], int]
                 rows.append((bits, orbit_dim(t, bits)))
         rows.sort(key=lambda r: -r[1])
         names = [f"E_{t.rank}"] + DECORATED_SEQUENCES[f"E{t.rank}"]
-        assert len(rows) == len(names), (t, rows)
-        assert len({dim for _, dim in rows}) == len(rows), f"dim tie in {t}: {rows}"
+        check(len(rows) == len(names), f"{t}: {rows}")
+        check(len({dim for _, dim in rows}) == len(rows), f"dim tie in {t}: {rows}")
         return [(name, w, dim) for name, (w, dim) in zip(names, rows)]
     raise ValueError(t)
 
@@ -197,7 +204,7 @@ def embed_weights(big: SimpleType, placed: list[tuple[SimpleType, list[int], tup
             for j in range(l):
                 psi[j] += x[i] * a_big[order[i]][j]
     dom = dominantize_weights(big, psi)
-    assert all(v.denominator == 1 and 0 <= v <= 2 for v in dom), (placed, dom)
+    check(all(v.denominator == 1 and 0 <= v <= 2 for v in dom), f"{placed}: {dom}")
     return tuple(int(v) for v in dom)
 
 
@@ -243,22 +250,22 @@ def bala_carter_rows(t: SimpleType):
 
 
 def resolve_primes(t: SimpleType, rows: dict[tuple[int, ...], set[str]]):
-    """Collapse duplicate names (E7 primes) and assert uniqueness elsewhere."""
+    """Collapse duplicate names (E7 primes) and check uniqueness elsewhere."""
     by_name: dict[str, list[tuple[int, ...]]] = {}
     out: dict[tuple[int, ...], str] = {}
     for psi, names in rows.items():
-        assert len(names) == 1, f"conflicting names for {psi}: {names}"
+        check(len(names) == 1, f"conflicting names for {psi}: {names}")
         by_name.setdefault(next(iter(names)), []).append(psi)
     anchor = (2, 0, 0, 0, 0, 0, 0)  # the published (3A_1)'' diagram for E7
     for name, psis in sorted(by_name.items()):
         if len(psis) == 1:
             out[psis[0]] = name
             continue
-        assert str(t) == "E7" and len(psis) == 2, (name, psis)
+        check(str(t) == "E7" and len(psis) == 2, f"{name}: {psis}")
         dims = {psi: orbit_dim(t, psi) for psi in psis}
         lo, hi = sorted(psis, key=lambda p: dims[p])
         if name == "3A_1":
-            assert anchor in psis, psis
+            check(anchor in psis, f"{psis}")
             marks = {anchor: "''", (lo if hi == anchor else hi): "'"}
             print(f"  E7 prime calibration: ('' , dim)={dims[anchor]}  (', dim)={dims[lo if hi == anchor else hi]}")
             global PRIME_RULE
@@ -281,12 +288,12 @@ def main():
         named = resolve_primes(t, rows)
         expected = EXPECTED_COUNTS[str(t)]
         print(f"  rows: {len(named)} (expected {expected})")
-        assert len(named) == expected, f"{t}: got {len(named)}"
+        check(len(named) == expected, f"{t}: got {len(named)}")
         model = build_chevalley(t, max_rank=8)
         for psi in sorted(named):
             d = WeightedDiagram(t, psi)
             ok, _ = is_characteristic(model, d)
-            assert ok, f"{t} {named[psi]} {psi} failed oracle certification"
+            check(ok, f"{t} {named[psi]} {psi} failed oracle certification")
         print("  all rows oracle-certified")
         if str(t) == "E6":
             found = set()
@@ -295,7 +302,7 @@ def main():
                 ok, _ = is_characteristic(model, d)
                 if ok:
                     found.add(bits)
-            assert found == set(named), (found - set(named), set(named) - found)
+            check(found == set(named), f"{found - set(named)} {set(named) - found}")
             print("  E6 exhaustion over 3^6 candidates agrees")
         ordered = sorted(named.items(), key=lambda kv: (orbit_dim(t, kv[0]), kv[1]))
         print(f'    "{t}": (')

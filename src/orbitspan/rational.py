@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals (entries are ints or Fractions): one
-fraction-free integer elimination behind RREF, solving and kernels."""
+fraction-free integer elimination behind RREF, solving and kernels, and
+coordinate subspaces by union-find."""
 
 from __future__ import annotations
 
@@ -65,10 +66,6 @@ def rref(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:
     return [[Q(x, row[p]) for x in row] for p, row in reduced]
 
 
-def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
-    return len(rref(rows))
-
-
 def nullspace(rows: Sequence[Sequence[Q]], ncols: int) -> list[Vec]:
     """Canonical basis of {x : row . x = 0 for every row}."""
     reduced = rref(rows)
@@ -108,7 +105,8 @@ def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    """A subspace of Q^n held as a canonical RREF basis; equality is structural."""
+    """A subspace of Q^n held as a canonical RREF basis of int or Fraction
+    entries; equality is structural (1 == Fraction(1))."""
 
     ambient_dimension: int
     basis: tuple[Vec, ...]
@@ -117,51 +115,51 @@ class RationalSubspace:
     def span_of(cls, ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> "RationalSubspace":
         return cls(ambient_dimension, tuple(tuple(r) for r in rref(vectors)))
 
-    @classmethod
-    def from_constraints(cls, ambient_dimension: int, constraints: Iterable[Sequence[Q]]) -> "RationalSubspace":
-        """Kernel of the constraint matrix, i.e. {x : c . x = 0 for all c}."""
-        return cls.span_of(ambient_dimension, nullspace(constraints, ambient_dimension))
-
-    @classmethod
-    def full(cls, ambient_dimension: int) -> "RationalSubspace":
-        eye = []
-        for i in range(ambient_dimension):
-            row = [Q(0)] * ambient_dimension
-            row[i] = Q(1)
-            eye.append(tuple(row))
-        return cls(ambient_dimension, tuple(eye))
-
-    @classmethod
-    def zero(cls, ambient_dimension: int) -> "RationalSubspace":
-        return cls(ambient_dimension, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector: Sequence[Q]) -> bool:
-        v = vec(vector)
-        if len(v) != self.ambient_dimension:
+        """Membership by reduction against the RREF basis, in the entry types
+        given: integer vectors against an integer basis stay in `int`s."""
+        if len(vector) != self.ambient_dimension:
             raise ValueError("vector has wrong ambient dimension")
-        residual = list(v)
+        residual = list(vector)
         for row in self.basis:
-            pivot = next(c for c in range(self.ambient_dimension) if row[c] != 0)
-            if residual[pivot] != 0:
-                factor = residual[pivot]
+            pivot = next(c for c, x in enumerate(row) if x)
+            factor = residual[pivot]
+            if factor:
                 residual = [a - factor * b for a, b in zip(residual, row)]
-        return all(x == 0 for x in residual)
+        return not any(residual)
+
+    def has_basis(self, vectors: Sequence[Sequence[int]]) -> bool:
+        """True iff the integer vectors are a basis: `dim` of them, independent
+        and each one in the subspace."""
+        return (
+            len(vectors) == self.dim
+            and all(self.contains(v) for v in vectors)
+            and len(independent_prefix(vectors)) == len(vectors)
+        )
 
 
 def coordinate_kernel(n: int, zero: Iterable[int] = (), equal: Iterable[tuple[int, int]] = ()) -> RationalSubspace:
     """The subspace of Q^n cut out by x[i] = 0 for i in `zero` and x[i] = x[j]
-    for (i, j) in `equal`."""
-    constraints = []
-    for i in zero:
-        row = [0] * n
-        row[i] = 1
-        constraints.append(row)
+    for (i, j) in `equal`.  A union-find (Tarjan 1975) joins the `equal` pairs
+    into classes rooted at their least index; the basis is the 0/1 indicator of
+    each class without a `zero` node, by least index: the canonical RREF basis."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for i, j in equal:
-        row = [0] * n
-        row[i], row[j] = 1, -1
-        constraints.append(row)
-    return RationalSubspace.from_constraints(n, constraints)
+        i, j = find(i), find(j)
+        root[max(i, j)] = min(i, j)
+    classes = [find(i) for i in range(n)]
+    dead = {classes[i] for i in zero}
+    return RationalSubspace(
+        n, tuple(tuple(int(c == r) for c in classes) for r in sorted(set(classes) - dead))
+    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .rational import RationalSubspace, Vec, coordinate_kernel
+from .rational import Vec
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -130,11 +130,6 @@ class RootSystemData:
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    node_labels: tuple[str, ...]
-
-    @property
-    def rank(self) -> int:
-        return self.simple_type.rank
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +154,7 @@ def build_root_system(t: SimpleType) -> RootSystemData:
                         nxt.append(image)
         frontier = nxt
     positives = sorted(roots, key=lambda r: (sum(r), r))
-    labels = tuple(f"a{i + 1}" for i in range(l))
-    return RootSystemData(t, a, tuple(positives), labels)
+    return RootSystemData(t, a, tuple(positives))
 
 
 @dataclass(frozen=True)
@@ -176,9 +170,6 @@ class WeightedDiagram:
             raise ValueError("weight count does not match rank")
         exact = [w if type(w) is int else Q(w) for w in self.weights]
         object.__setattr__(self, "weights", tuple(w.numerator if w.denominator == 1 else w for w in exact))
-
-    def is_zero(self) -> bool:
-        return all(w == 0 for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -200,13 +191,6 @@ class DiagramInvolution:
                 if a[i][j] != a[perm[i]][perm[j]]:
                     raise ValueError("permutation does not preserve the Cartan matrix")
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.permutation))
-
-    def apply(self, d: WeightedDiagram) -> WeightedDiagram:
-        w = d.weights
-        return WeightedDiagram(d.simple_type, tuple(w[self.permutation[i]] for i in range(len(w))))
-
 
 def _dominantize(psi: list, a) -> list:
     """Carry a vector (in Psi-coordinates) into the closed dominant chamber;
@@ -227,11 +211,11 @@ def _dominantize(psi: list, a) -> list:
 
 
 @lru_cache(maxsize=None)
-def opposition_involution(rs: RootSystemData) -> DiagramInvolution:
+def opposition_involution(t: SimpleType) -> DiagramInvolution:
     """The node permutation induced by -w0: computed by carrying each negated
     fundamental weight (in `int`s) to the dominant chamber by simple reflections."""
-    l = rs.rank
-    a = rs.cartan_matrix
+    l = t.rank
+    a = cartan_matrix(t)
     perm = []
     for i in range(l):
         psi = [0] * l
@@ -241,13 +225,7 @@ def opposition_involution(rs: RootSystemData) -> DiagramInvolution:
         if len(ones) != 1 or image[ones[0]] != 1:
             raise AssertionError("dominantized negated fundamental weight is not fundamental")
         perm.append(ones[0])
-    return DiagramInvolution(rs.simple_type, tuple(perm))
-
-
-def iota_fixed_subspace(rs: RootSystemData) -> RationalSubspace:
-    """Diagram-space subspace cut out by weight(n) = weight(iota(n))."""
-    iota = opposition_involution(rs).permutation
-    return coordinate_kernel(rs.rank, equal=[(i, j) for i, j in enumerate(iota) if i < j])
+    return DiagramInvolution(t, tuple(perm))
 
 
 def dominantize_weights(t: SimpleType, weights) -> Vec:

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rational import RationalSubspace, coordinate_kernel
-from .rootcore import (
-    SimpleType,
-    WeightedDiagram,
-    build_root_system,
-    opposition_involution,
-)
+from .rootcore import SimpleType, WeightedDiagram, cartan_matrix, opposition_involution
 
 
 class LabelError(ValueError):
@@ -77,23 +72,22 @@ def parse_label(text: str) -> RealFormLabel:
     if m:
         return validate_label(RealFormLabel(m.group(1) + "C"))
     m = _LABEL_RE.match(text)
+    unparsed = LabelError(f"cannot parse label {text!r}; see `orbitspan forms` for the grammar")
     if not m:
-        raise LabelError(f"cannot parse label {text!r}; see `orbitspan forms` for the grammar")
-    head, first, second = m.group(1), int(m.group(2)), m.group(3)
+        raise unparsed
+    head, second = m.group(1), m.group(3)
+    try:
+        first = int(m.group(2))
+        q = None if second in (None, "R") else int(second)
+    except ValueError as exc:  # an integer over Python's digit limit
+        raise LabelError(f"cannot parse label {text!r}: {exc}") from None
     if head in ("sl", "sp") and second == "R":
         return validate_label(RealFormLabel("spR" if head == "sp" else "sl", (first,)))
-    if head in ("su", "so", "sp") and second is not None and second != "R":
-        p, q = first, int(second)
-        if p < q:
-            p, q = q, p
-        return validate_label(RealFormLabel(head, (p, q)))
-    if head in ("su*", "so*"):
+    if head in ("su", "so", "sp") and q is not None:
+        return validate_label(RealFormLabel(head, (max(first, q), min(first, q))))
+    if second is None and (head in ("su*", "so*", "slC", "soC", "spC") or head in _EXCEPTIONAL):
         return validate_label(RealFormLabel(head, (first,)))
-    if head in ("slC", "soC", "spC"):
-        return validate_label(RealFormLabel(head, (first,)))
-    if head in _EXCEPTIONAL and second is None:
-        return validate_label(RealFormLabel(head, (first,)))
-    raise LabelError(f"cannot parse label {text!r}; see `orbitspan forms` for the grammar")
+    raise unparsed
 
 
 def validate_label(label: RealFormLabel) -> RealFormLabel:
@@ -289,7 +283,7 @@ def b_subspace(label: RealFormLabel) -> RationalSubspace:
     """Matching subspace intersected with the opposition-involution-fixed one:
     black nodes are zero, and arrow pairs and -w0 node pairs carry equal weights."""
     s = satake_catalog(label)
-    iota = opposition_involution(build_root_system(s.simple_type)).permutation
+    iota = opposition_involution(s.simple_type).permutation
     iota_pairs = [(i, j) for i, j in enumerate(iota) if i < j]
     return coordinate_kernel(s.simple_type.rank, s.black_nodes, [*s.arrows, *iota_pairs])
 
@@ -351,12 +345,11 @@ def satake_to_dot(label: RealFormLabel) -> str:
     edges for arrows, bond multiplicity annotations for Cartan bonds."""
     t = underlying_type(label)
     s = satake_catalog(label)
-    rs = build_root_system(t)
     lines = [f'graph "{label}" {{', "  layout=neato;", "  node [shape=circle, width=0.25, fixedsize=true];"]
     for i in range(t.rank):
         fill = ', style=filled, fillcolor=black, fontcolor=white' if i in s.black_nodes else ""
         lines.append(f'  a{i + 1} [label="a{i + 1}"{fill}];')
-    a = rs.cartan_matrix
+    a = cartan_matrix(t)
     for i in range(t.rank):
         for j in range(i + 1, t.rank):
             if a[i][j] != 0:

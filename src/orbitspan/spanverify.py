@@ -16,13 +16,8 @@ from .nilorbits import (
     diagram_of_partition,
     enumerate_complex_characteristics,
 )
-from .rational import RationalSubspace, independent_prefix
-from .rootcore import (
-    SimpleType,
-    WeightedDiagram,
-    build_root_system,
-    opposition_involution,
-)
+from .rational import independent_prefix
+from .rootcore import SimpleType, opposition_involution
 from .satake import (
     RealFormLabel,
     SatakeDiagram,
@@ -80,43 +75,33 @@ def h_n_a_plus(label: RealFormLabel) -> list[OrbitDiagram]:
 
 def check_easy_inclusion(t: SimpleType, matching: Iterable[OrbitDiagram]) -> bool:
     """Every matching diagram is fixed by the opposition involution of `t`."""
-    perm = opposition_involution(build_root_system(t)).permutation
+    perm = opposition_involution(t).permutation
     swapped = [(i, j) for i, j in enumerate(perm) if i < j]
     return all(od.diagram.weights[i] == od.diagram.weights[j] for od in matching for i, j in swapped)
 
 
-def span_of(diagrams: Sequence[WeightedDiagram]) -> RationalSubspace:
-    """Canonical rational span of weighted diagrams (all of one type); the
-    empty list gives the (degenerate, 0-dimensional) zero subspace."""
-    types = {d.simple_type for d in diagrams}
-    if len(types) > 1:
-        raise ValueError(f"mixed simple types in span: {sorted(map(str, types))}")
-    if not diagrams:
-        return RationalSubspace.zero(0)
-    l = next(iter(types)).rank
-    return RationalSubspace.span_of(l, [d.weights for d in diagrams])
-
-
-def greedy_basis_of(matching: Sequence[OrbitDiagram], l: int) -> tuple[list[OrbitLabel], RationalSubspace]:
-    """First independent spanning subset in canonical enumeration order, and
-    its span.  Orbit-diagram weights are the integers 0, 1 and 2."""
+def greedy_basis_of(matching: Sequence[OrbitDiagram]) -> tuple[list[OrbitLabel], list[tuple[int, ...]]]:
+    """First independent spanning subset in canonical enumeration order: the
+    labels and weights of its diagrams.  Orbit-diagram weights are the integers
+    0, 1 and 2."""
     picked = [matching[k] for k in independent_prefix(od.diagram.weights for od in matching)]
-    return [od.label for od in picked], RationalSubspace.span_of(l, [od.diagram.weights for od in picked])
+    return [od.label for od in picked], [od.diagram.weights for od in picked]
 
 
 def verify_theorem(label: RealFormLabel) -> VerificationReport:
-    """Compare the span of the matching diagrams with the (-w0)-fixed subspace."""
+    """Compare the span of the matching diagrams with the (-w0)-fixed subspace:
+    they are equal iff the greedy basis of the span is a basis of b."""
     t = underlying_type(label)
     matching = h_n_a_plus(label)
     b = b_subspace(label)
-    basis_labels, span = greedy_basis_of(matching, t.rank)
+    basis_labels, weights = greedy_basis_of(matching)
     return VerificationReport(
         label=label,
         simple_type=t,
         matching_orbits=tuple(matching),
         dim_b=b.dim,
-        dim_span=span.dim,
-        theorem_holds=span == b,
+        dim_span=len(weights),
+        theorem_holds=b.has_basis(weights),
         greedy_basis=tuple(basis_labels),
         easy_inclusion_holds=check_easy_inclusion(t, matching),
         paper_basis_verified=verify_paper_basis(label),
@@ -226,8 +211,8 @@ def _diagram_for(t: SimpleType, lbl: OrbitLabel) -> OrbitDiagram:
 
 
 def verify_paper_basis(label: RealFormLabel) -> bool:
-    """Published basis diagrams must match the Satake diagram, be independent,
-    span the b-subspace and be even (all weights 0 or 2)."""
+    """Published basis diagrams must match the Satake diagram, be even (all
+    weights 0 or 2) and be a basis of the b-subspace."""
     t = underlying_type(label)
     s = satake_catalog(label)
     labels = paper_basis(label)
@@ -236,5 +221,4 @@ def verify_paper_basis(label: RealFormLabel) -> bool:
         return False
     if not all(w in (0, 2) for od in diagrams for w in od.diagram.weights):
         return False
-    span = RationalSubspace.span_of(t.rank, [od.diagram.weights for od in diagrams])
-    return span.dim == len(diagrams) and span == b_subspace(label)
+    return b_subspace(label).has_basis([od.diagram.weights for od in diagrams])

@@ -8,7 +8,7 @@ from orbitspan.rational import RationalSubspace
 
 def greedy_reference(vectors, l):
     """Indices of the first independent spanning subset, and its span."""
-    span = RationalSubspace.zero(l)
+    span = RationalSubspace(l, ())
     picked = []
     for k, v in enumerate(vectors):
         bigger = RationalSubspace.span_of(l, list(span.basis) + [v])

@@ -23,7 +23,7 @@ def expected_b_form(label: RealFormLabel) -> RationalSubspace:
     if k == "so" and t.family == "B":
         return coordinate_kernel(l, range(p[1], l))
     if k == "spR":
-        return RationalSubspace.full(l)
+        return coordinate_kernel(l)
     if k == "sp":
         q = p[1]
         white = {2 * i + 1 for i in range(q)}
@@ -31,7 +31,7 @@ def expected_b_form(label: RealFormLabel) -> RationalSubspace:
     if k == "so" and t.family == "D":
         pp, q = p
         if pp == q:
-            return RationalSubspace.full(l) if l % 2 == 0 else coordinate_kernel(l, (), [(l - 2, l - 1)])
+            return coordinate_kernel(l) if l % 2 == 0 else coordinate_kernel(l, (), [(l - 2, l - 1)])
         if pp == q + 2:
             return coordinate_kernel(l, (), [(l - 2, l - 1)])
         return coordinate_kernel(l, range(q, l))

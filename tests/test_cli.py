@@ -53,6 +53,12 @@ def test_unknown_label_is_usage_error():
     assert "sl(2,R)" in err2  # alias diagnostic
 
 
+def test_second_parameter_on_a_one_parameter_kind_is_usage_error():
+    code, out, err = run_cli(["verify", "su*(4,2)"])
+    assert (code, out) == (2, "")
+    assert "cannot parse label" in err
+
+
 def test_orbits_text_and_json(capsys):
     assert main(["orbits", "f4(-20)"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Exact linear algebra: RREF canonicalization, kernels, subspace lattice ops."""
+"""Exact linear algebra: RREF canonicalization, kernels, coordinate subspaces
+and the basis predicate."""
 
 from fractions import Fraction as Q
 
@@ -13,7 +14,6 @@ from orbitspan.rational import (
     RationalSubspace,
     coordinate_kernel,
     independent_prefix,
-    matrix_rank,
     nullspace,
     rref,
     solve,
@@ -55,21 +55,79 @@ def test_subspace_equality_is_structural():
 def test_coordinate_kernel():
     s = coordinate_kernel(5, zero=[1], equal=[(0, 3), (3, 4)])
     rows = [vec([0, 1, 0, 0, 0]), vec([1, 0, 0, -1, 0]), vec([0, 0, 0, 1, -1])]
-    assert s == RationalSubspace.from_constraints(5, rows)
+    assert s == RationalSubspace.span_of(5, nullspace_reference(rows, 5))
     assert s.basis == (vec([1, 0, 0, 1, 1]), vec([0, 0, 1, 0, 0]))
-    assert coordinate_kernel(3) == RationalSubspace.full(3)
-    assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace.zero(2)
+    assert coordinate_kernel(3).basis == (vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
+    assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace(2, ())
 
 
 def test_full_and_zero():
-    assert RationalSubspace.full(5).dim == 5
-    assert RationalSubspace.zero(5).dim == 0
-    assert RationalSubspace.zero(5).contains(vec([0] * 5))
+    assert coordinate_kernel(5).dim == 5
+    assert RationalSubspace(5, ()).dim == 0
+    assert RationalSubspace(5, ()).contains(vec([0] * 5))
+    assert not RationalSubspace(5, ()).contains([0, 0, 1, 0, 0])
 
 
 def test_contains_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        RationalSubspace.full(3).contains(vec([1, 2]))
+        coordinate_kernel(3).contains(vec([1, 2]))
+
+
+@st.composite
+def coordinate_constraints(draw):
+    """Zero nodes and equal pairs on at most 12 nodes: repeated and chained
+    pairs, (i, i) pairs, and zero nodes inside classes."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n == 0:
+        return 0, [], []
+    node = st.integers(min_value=0, max_value=n - 1)
+    equal = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["repeat", "chain", "loop"]))
+        if kind == "repeat" and equal:
+            i, j = draw(st.sampled_from(equal))
+            equal.append(draw(st.sampled_from([(i, j), (j, i)])))
+        elif kind == "chain" and equal:
+            i, j = draw(st.sampled_from(equal))
+            equal.append((j, draw(node)))
+        else:
+            i = draw(node)
+            equal.append((i, i))
+    zero = draw(st.lists(node, max_size=n))
+    if equal and draw(st.booleans()):
+        zero.append(draw(st.sampled_from(equal))[1])
+    return n, zero, equal
+
+
+@given(coordinate_constraints())
+def test_coordinate_kernel_agrees_with_nullspace_reference(case):
+    n, zero, equal = case
+    rows = [[int(c == i) for c in range(n)] for i in zero]
+    rows += [[int(c == i) - int(c == j) for c in range(n)] for i, j in equal]
+    expected = RationalSubspace.span_of(n, nullspace_reference(rows, n))
+    assert coordinate_kernel(n, zero, equal) == expected
+
+
+def test_coordinate_kernel_class_order_and_entries():
+    # classes {0, 2, 4} and {1, 3}; the root of each is its least index
+    s = coordinate_kernel(5, equal=[(4, 2), (3, 1), (2, 0)])
+    assert s.basis == ((1, 0, 1, 0, 1), (0, 1, 0, 1, 0))
+    assert all(type(x) is int for row in s.basis for x in row)
+    assert coordinate_kernel(4, zero=[3], equal=[(3, 1), (1, 1)]).basis == ((1, 0, 0, 0), (0, 0, 1, 0))
+
+
+def test_has_basis_examples():
+    b = coordinate_kernel(4, zero=[3], equal=[(0, 2)])  # x0 = x2, x3 = 0
+    assert b.dim == 2
+    assert b.has_basis([(1, 0, 1, 0), (0, 1, 0, 0)])
+    assert b.has_basis([(2, 1, 2, 0), (1, 2, 1, 0)])
+    assert not b.has_basis([(1, 0, 1, 0), (0, 1, 0, 1)])  # the second one is outside b
+    assert not b.has_basis([(1, 0, 0, 0), (0, 1, 0, 0)])  # so is the first
+    assert not b.has_basis([(1, 0, 1, 0)])  # too few
+    assert not b.has_basis([(1, 0, 1, 0), (0, 1, 0, 0), (1, 1, 1, 0)])  # too many
+    assert not b.has_basis([(1, 0, 1, 0), (2, 0, 2, 0)])  # dependent
+    assert RationalSubspace(3, ()).has_basis([])
+    assert not RationalSubspace(3, ()).has_basis([(0, 0, 0)])
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -79,7 +137,7 @@ small_matrix = st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=
 @given(small_matrix)
 def test_rank_bounded_and_basis_contained(rows):
     s = RationalSubspace.span_of(4, rows)
-    assert s.dim == matrix_rank(rows) <= 4
+    assert s.dim == len(rref_reference(rows)) <= 4
     for row in rows:
         assert s.contains(vec(row))
 
@@ -117,7 +175,7 @@ def test_rref_edge_cases():
     assert rref([]) == []
     assert rref([[0, 0], [Q(0), 0]]) == []
     assert nullspace([], 2) == [vec([1, 0]), vec([0, 1])]
-    assert RationalSubspace.span_of(3, []) == RationalSubspace.zero(3)
+    assert RationalSubspace.span_of(3, []) == RationalSubspace(3, ())
     assert rref([[0, Q(1, 2), 1], [3, 0, 0], [0, 2, 4]]) == [[1, 0, 0], [0, 1, 2]]
 
 

@@ -53,6 +53,47 @@ def test_rejected_labels():
             parse_label(text)
 
 
+def test_one_parameter_kinds_reject_a_second_parameter():
+    for text in ["su*(4,2)", "su*(4,R)", "so*(8,3)", "slC(4,R)", "soC(7,2)", "spC(3,1)", "e6(2,1)", "sl(4,3)"]:
+        with pytest.raises(LabelError):
+            parse_label(text)
+
+
+def test_integer_over_the_digit_limit_is_a_label_error():
+    for text in ["sl(" + "1" * 5000 + ",R)", "su(3," + "2" * 5000 + ")"]:
+        with pytest.raises(LabelError):
+            parse_label(text)
+
+
+def _parse_round_trips(text):
+    try:
+        label = parse_label(text)
+    except LabelError:
+        return
+    assert parse_label(str(label)) == label
+
+
+KIND_TOKENS = ["sl", "su", "so", "sp", "su*", "so*", "slC", "soC", "spC", "e6", "e7", "e8", "f4", "g2", "e6C", "g2C", "xy"]
+spaces = st.sampled_from(["", "", " ", "\t"])
+signed_ints = (
+    st.integers(min_value=-2, max_value=12).map(str)
+    | st.sampled_from(["2", "-14", "-26", "-5", "-25", "-24", "-20", "+3", "007", "-0", "1" * 30])
+)
+second_parameter = st.sampled_from(["", "", ",R", ", R"]) | signed_ints.map(lambda x: "," + x)
+labelish = st.builds(
+    lambda *parts: "".join(parts),
+    spaces, st.sampled_from(KIND_TOKENS), spaces, st.sampled_from(["(", "(", "(", ""]),
+    spaces, signed_ints | st.just("R"), spaces, second_parameter, spaces,
+    st.sampled_from([")", ")", ")", "", "))"]), spaces,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=30) | labelish | st.sampled_from(catalog_labels(8)).map(str))
+def test_parse_label_yields_a_round_tripping_label_or_a_label_error(text):
+    _parse_round_trips(text)
+
+
 def test_alias_rejections_mention_the_alias():
     with pytest.raises(LabelError, match=r"su\(2,2\)"):
         parse_label("so(4,2)")
@@ -160,14 +201,17 @@ def test_b_subspace_equals_published_form_for_whole_catalog():
 
 
 def test_split_forms_match_everything():
-    from orbitspan.rootcore import build_root_system, iota_fixed_subspace
+    from orbitspan.rational import coordinate_kernel
+    from orbitspan.rootcore import opposition_involution
 
     for text in ["sl(5,R)", "so(5,4)", "sp(4,R)", "so(6,6)", "e8(8)", "g2(2)", "slC(6)"]:
         label = parse_label(text)
         s = satake_catalog(label)
         t = underlying_type(label)
         assert matching_subspace(s).dim == t.rank
-        assert b_subspace(label) == iota_fixed_subspace(build_root_system(t))
+        iota = opposition_involution(t).permutation
+        iota_fixed = coordinate_kernel(t.rank, equal=[(i, j) for i, j in enumerate(iota) if i < j])
+        assert b_subspace(label) == iota_fixed
 
 
 def test_catalog_label_count_and_uniqueness():

@@ -121,7 +121,7 @@ def test_witness_brackets_hold_exactly():
     for od in enumerate_complex_characteristics(t):
         ok, witness = is_characteristic(model, od.diagram)
         assert ok, od.label
-        if od.diagram.is_zero():
+        if not any(od.diagram.weights):
             assert witness.e == () and witness.f == ()
             continue
         # reconstruct elements and re-check the three bracket relations
@@ -180,7 +180,7 @@ def test_grading_consistency():
     t = SimpleType("B", 3)
     model = build_chevalley(t)
     for od in enumerate_complex_characteristics(t):
-        if od.diagram.is_zero():
+        if not any(od.diagram.weights):
             continue
         ok, _ = is_characteristic(model, od.diagram)
         assert ok

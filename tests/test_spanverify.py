@@ -2,13 +2,13 @@
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
+from orbitspan import spanverify
 from orbitspan.nilorbits import ClassicalLabel, OrbitDiagram, Partition, enumerate_complex_characteristics
-from orbitspan.rational import vec
+from orbitspan.rational import RationalSubspace, vec
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import catalog_labels, parse_label, satake_catalog, underlying_type
 from orbitspan.spanverify import (
@@ -18,7 +18,6 @@ from orbitspan.spanverify import (
     greedy_basis_of,
     h_n_a_plus,
     paper_basis,
-    span_of,
     verify_paper_basis,
     verify_theorem,
 )
@@ -49,7 +48,7 @@ def test_zero_orbit_always_matches_and_never_in_basis():
     for text in ["su(4,2)", "so(7,2)", "e7(-25)", "sp(3,1)", "sl(4,R)"]:
         label = parse_label(text)
         report = verify_theorem(label)
-        zeros = [od for od in report.matching_orbits if od.diagram.is_zero()]
+        zeros = [od for od in report.matching_orbits if not any(od.diagram.weights)]
         assert len(zeros) == 1
         assert zeros[0].label not in report.greedy_basis
 
@@ -83,7 +82,10 @@ def test_greedy_basis_agrees_with_reference_on_catalog_to_rank_8():
         matching = h_n_a_plus(label)
         l = underlying_type(label).rank
         picked, span = greedy_reference([od.diagram.weights for od in matching], l)
-        assert greedy_basis_of(matching, l) == ([matching[k].label for k in picked], span), str(label)
+        labels, weights = greedy_basis_of(matching)
+        assert labels == [matching[k].label for k in picked], str(label)
+        assert weights == [matching[k].diagram.weights for k in picked], str(label)
+        assert RationalSubspace.span_of(l, weights) == span, str(label)
 
 
 def test_sl5_includes_the_31_1_diagram():
@@ -92,15 +94,9 @@ def test_sl5_includes_the_31_1_diagram():
 
 
 def test_span_of_examples():
-    g2 = SimpleType("G", 2)
-    span = span_of([WeightedDiagram(g2, vec([2, 0])), WeightedDiagram(g2, vec([2, 2]))])
-    assert span.dim == 2
-    a3 = SimpleType("A", 3)
-    span2 = span_of([WeightedDiagram(a3, vec([2, 0, 2])), WeightedDiagram(a3, vec([2, 2, 2]))])
-    assert span2.dim == 2
-    assert span_of([]).dim == 0
-    with pytest.raises(ValueError):
-        span_of([WeightedDiagram(g2, vec([2, 0])), WeightedDiagram(a3, vec([0, 0, 0]))])
+    assert RationalSubspace.span_of(2, [vec([2, 0]), vec([2, 2])]).dim == 2
+    assert RationalSubspace.span_of(3, [vec([2, 0, 2]), vec([2, 2, 2])]).dim == 2
+    assert RationalSubspace.span_of(0, []).dim == 0
 
 
 def test_verify_theorem_examples():
@@ -111,6 +107,22 @@ def test_verify_theorem_examples():
     for p, q in [(7, 2), (6, 1), (5, 3)]:
         r = verify_theorem(parse_label(f"su({p},{q})"))
         assert r.dim_b == q and r.theorem_holds
+
+
+def test_theorem_fails_for_a_full_count_basis_outside_b(monkeypatch):
+    # b of sl(4,R) is {(x, y, x)}, of dimension 2.  The greedy picks [4] and a
+    # diagram moved to (2, 0, 0), so the count matches dim b, but (2, 0, 0)
+    # lies outside b: the span is not b.
+    label = parse_label("sl(4,R)")
+    honest = verify_theorem(label)
+    regular, *_, zero = h_n_a_plus(label)
+    outside = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(SimpleType("A", 3), (2, 0, 0)))
+    monkeypatch.setattr(spanverify, "h_n_a_plus", lambda _: [regular, outside, zero])
+    report = verify_theorem(label)
+    assert report.greedy_basis == (regular.label, outside.label)
+    assert (report.dim_b, report.dim_span) == (honest.dim_b, honest.dim_span) == (2, 2)
+    assert report.theorem_holds is False
+    assert report.verified is False
 
 
 def test_report_invariants():
