@@ -136,7 +136,8 @@ def test_unwritable_out_is_usage_error(tmp_path):
         assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
 
 
-# `orbits --oracle --format json` bytes, as produced when weights were Fractions
+# `orbits --oracle --format json` bytes, as produced when weights were Fractions and the structure
+# constants recursive `Fraction`s; sp(3,R) and so(5,4) pin the rescaling between two root lengths
 ORACLE_JSON = {
     "sl(3,R)": '{"label":"sl(3,R)","orbits":[{"label":"[3]","weights":[2,2],"witness":{"E":{"0,1":"1","1,0":"-3"},'
     '"F":{"-1,0":"-2/3","0,-1":"2"},"H":[2,2]}},{"label":"[2,1]","weights":[1,1],"witness":{"E":{"1,1":"2"},'
@@ -149,6 +150,56 @@ ORACLE_JSON = {
     '"F":{"-1,-1":"18/53","-1,-2":"8/53","-1,-3":"86/53","-1,0":"14/53"},"H":[2,0]}},'
     '{"label":"G_2","weights":[2,2],"witness":{"E":{"0,1":"-1","1,0":"-1"},"F":{"-1,0":"-10","0,-1":"-6"},'
     '"H":[2,2]}}],"rank":2,"type":"G"}\n',
+    "sp(3,R)": '{"label":"sp(3,R)","orbits":[{"label":"[6]","weights":[2,2,2],"witness":{"E":{"0,0,1":"-2",'
+    '"0,1,0":"1","1,0,0":"-2"},"F":{"-1,0,0":"-5/2","0,-1,0":"8","0,0,-1":"-9/2"},"H":[2,2,2]}},{"label":"[4,2]",'
+    '"weights":[2,0,2],"witness":{"E":{"0,0,1":"2","0,1,1":"2","0,2,1":"3","1,0,0":"-3","1,1,0":"3"},'
+    '"F":{"-1,0,0":"-1","0,-1,-1":"4/5","0,-2,-1":"4/5","0,0,-1":"-3/10"},"H":[2,0,2]}},{"label":"[4,1^2]",'
+    '"weights":[2,1,0],"witness":{"E":{"0,2,1":"-3","1,0,0":"3"},"F":{"-1,0,0":"1","0,-2,-1":"-4/3"},'
+    '"H":[2,1,0]}},{"label":"[3^2]","weights":[0,2,0],"witness":{"E":{"0,1,0":"1","0,1,1":"-2","1,1,0":"2",'
+    '"1,1,1":"-1"},"F":{"-1,-1,-1":"2/3","-1,-1,0":"4/3","0,-1,-1":"-4/3","0,-1,0":"-2/3"},"H":[0,2,0]}},'
+    '{"label":"[2^3]","weights":[0,0,2],"witness":{"E":{"0,0,1":"-3","0,1,1":"-1","0,2,1":"-2","1,1,1":"2",'
+    '"1,2,1":"-1","2,2,1":"-1"},"F":{"-1,-1,-1":"5/2","-1,-2,-1":"1/2","-2,-2,-1":"7/2","0,-1,-1":"-1/2",'
+    '"0,-2,-1":"-1/2","0,0,-1":"3/2"},"H":[0,0,2]}},{"label":"[2^2,1^2]","weights":[0,1,0],'
+    '"witness":{"E":{"0,2,1":"-3","1,2,1":"1","2,2,1":"1"},"F":{"-1,-2,-1":"-1/2","-2,-2,-1":"3/2",'
+    '"0,-2,-1":"-1/2"},"H":[0,1,0]}},{"label":"[2,1^4]","weights":[1,0,0],"witness":{"E":{"2,2,1":"2"},'
+    '"F":{"-2,-2,-1":"1/2"},"H":[1,0,0]}},{"label":"[1^6]","weights":[0,0,0],"witness":{"E":{},"F":{},'
+    '"H":[0,0,0]}}],"rank":3,"type":"C"}\n',
+    "so(5,4)": '{"label":"so(5,4)","orbits":[{"label":"[9]","weights":[2,2,2,2],'
+    '"witness":{"E":{"0,0,0,1":"-3","0,0,1,0":"-2","0,1,0,0":"-3","1,0,0,0":"1"},"F":{"-1,0,0,0":"8",'
+    '"0,-1,0,0":"-14/3","0,0,-1,0":"-9","0,0,0,-1":"-10/3"},"H":[2,2,2,2]}},{"label":"[7,1^2]",'
+    '"weights":[2,2,2,0],"witness":{"E":{"0,0,1,0":"-3","0,0,1,1":"-1","0,0,1,2":"-1","0,1,0,0":"1",'
+    '"1,0,0,0":"2"},"F":{"-1,0,0,0":"3","0,-1,0,0":"10","0,0,-1,-1":"3","0,0,-1,-2":"-9","0,0,-1,0":"-3"},'
+    '"H":[2,2,2,0]}},{"label":"[5,3,1]","weights":[2,0,2,0],"witness":{"E":{"0,0,1,0":"3","0,0,1,1":"-1",'
+    '"0,0,1,2":"3","0,1,1,0":"-3","0,1,1,1":"2","0,1,1,2":"-2","1,0,0,0":"-3","1,1,0,0":"2"},'
+    '"F":{"-1,-1,0,0":"65/58","-1,0,0,0":"-17/29","0,-1,-1,-1":"178/551","0,-1,-1,-2":"-275/1102",'
+    '"0,-1,-1,0":"-1084/1653","0,0,-1,-1":"500/551","0,0,-1,-2":"691/551","0,0,-1,0":"1264/1653"},'
+    '"H":[2,0,2,0]}},{"label":"[5,2^2]","weights":[2,1,0,1],"witness":{"E":{"0,0,1,2":"-1","0,1,1,1":"-3",'
+    '"1,0,0,0":"1"},"F":{"-1,0,0,0":"4","0,-1,-1,-1":"-1","0,0,-1,-2":"-1"},"H":[2,1,0,1]}},{"label":"[5,1^4]",'
+    '"weights":[2,2,0,0],"witness":{"E":{"0,1,0,0":"1","0,1,1,0":"2","0,1,1,1":"1","0,1,1,2":"3","0,1,2,2":"-1",'
+    '"1,0,0,0":"-1"},"F":{"-1,0,0,0":"-4","0,-1,-1,-1":"-1/2","0,-1,-1,-2":"1","0,-1,-1,0":"3/2",'
+    '"0,-1,-2,-2":"-1/2","0,-1,0,0":"1/2"},"H":[2,2,0,0]}},{"label":"[4^2,1]","weights":[0,2,0,1],'
+    '"witness":{"E":{"0,0,1,2":"1","0,1,0,0":"3","0,1,1,0":"1","1,1,0,0":"-1","1,1,1,0":"-3"},'
+    '"F":{"-1,-1,-1,0":"-9/8","-1,-1,0,0":"3/8","0,-1,-1,0":"-3/8","0,-1,0,0":"9/8","0,0,-1,-2":"4"},'
+    '"H":[0,2,0,1]}},{"label":"[3^3]","weights":[0,0,2,0],"witness":{"E":{"0,0,1,0":"-2","0,0,1,1":"-2",'
+    '"0,0,1,2":"3","0,1,1,0":"1","0,1,1,1":"-1","0,1,1,2":"-1","1,1,1,0":"-2","1,1,1,1":"-2","1,1,1,2":"-1"},'
+    '"F":{"-1,-1,-1,-1":"-1/16","-1,-1,-1,-2":"-1/2","-1,-1,-1,0":"-5/8","0,-1,-1,-1":"-1/2","0,-1,-1,0":"1",'
+    '"0,0,-1,-1":"-3/16","0,0,-1,-2":"1/2","0,0,-1,0":"1/8"},"H":[0,0,2,0]}},{"label":"[3^2,1^3]",'
+    '"weights":[0,2,0,0],"witness":{"E":{"0,1,0,0":"-2","0,1,1,0":"3","0,1,1,1":"-1","0,1,1,2":"-3",'
+    '"0,1,2,2":"3","1,1,0,0":"-2","1,1,1,0":"-1","1,1,1,1":"-1","1,1,1,2":"-2","1,1,2,2":"3"},'
+    '"F":{"-1,-1,-1,-1":"30/161","-1,-1,-1,-2":"26/161","-1,-1,-1,0":"-74/161","-1,-1,-2,-2":"60/161",'
+    '"-1,-1,0,0":"-90/161","0,-1,-1,-1":"-2/23","0,-1,-1,-2":"-14/23","0,-1,-1,0":"8/23","0,-1,-2,-2":"-4/23",'
+    '"0,-1,0,0":"6/23"},"H":[0,2,0,0]}},{"label":"[3,2^2,1^2]","weights":[1,0,1,0],'
+    '"witness":{"E":{"0,1,2,2":"-1","1,1,1,0":"-2","1,1,1,1":"-3","1,1,1,2":"3"},"F":{"-1,-1,-1,-1":"-1/5",'
+    '"-1,-1,-1,-2":"2/15","-1,-1,-1,0":"-1/5","0,-1,-2,-2":"-1"},"H":[1,0,1,0]}},{"label":"[3,1^6]",'
+    '"weights":[2,0,0,0],"witness":{"E":{"1,0,0,0":"1","1,1,0,0":"-2","1,1,1,0":"1","1,1,1,1":"-3","1,1,1,2":"2",'
+    '"1,1,2,2":"1","1,2,2,2":"1"},"F":{"-1,-1,-1,-1":"-3/4","-1,-1,-1,-2":"-1/4","-1,-1,-1,0":"-1/2",'
+    '"-1,-1,-2,-2":"-1/2","-1,-1,0,0":"1/4","-1,-2,-2,-2":"-1/4","-1,0,0,0":"-1/4"},"H":[2,0,0,0]}},'
+    '{"label":"[2^4,1]","weights":[0,0,0,1],"witness":{"E":{"0,0,1,2":"-1","0,1,1,2":"-2","0,1,2,2":"1",'
+    '"1,1,1,2":"-3","1,1,2,2":"-1","1,2,2,2":"3"},"F":{"-1,-1,-1,-2":"-1/2","-1,-1,-2,-2":"-1",'
+    '"-1,-2,-2,-2":"-1/2","0,-1,-1,-2":"-1/2","0,-1,-2,-2":"3/2","0,0,-1,-2":"3/2"},"H":[0,0,0,1]}},'
+    '{"label":"[2^2,1^5]","weights":[0,1,0,0],"witness":{"E":{"1,2,2,2":"-1"},"F":{"-1,-2,-2,-2":"-1"},'
+    '"H":[0,1,0,0]}},{"label":"[1^9]","weights":[0,0,0,0],"witness":{"E":{},"F":{},"H":[0,0,0,0]}}],"rank":4,'
+    '"type":"B"}\n',
 }
 
 

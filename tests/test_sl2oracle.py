@@ -7,11 +7,12 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from chevalley_reference import ReferenceModel
 
 import orbitspan
 
 from orbitspan.nilorbits import enumerate_complex_characteristics
-from orbitspan.rootcore import SimpleType, WeightedDiagram
+from orbitspan.rootcore import SimpleType, WeightedDiagram, build_root_system
 from orbitspan.sl2oracle import build_chevalley, is_characteristic
 
 
@@ -86,6 +87,34 @@ def test_jacobi_identity_spot_check_f4_d4():
                 ),
             )
             assert j == {}
+
+
+DIFFERENTIAL_TYPES = (
+    [("A", r) for r in range(1, 7)]
+    + [("B", r) for r in range(2, 6)]
+    + [("C", r) for r in range(2, 6)]
+    + [("D", r) for r in range(4, 7)]
+    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", DIFFERENTIAL_TYPES)
+def test_structure_constants_match_reference(fam, rank):
+    """Every N(alpha, beta) in the integer table, and the bracket of every pair
+    of basis vectors, equals the recursive `Fraction` reference."""
+    t = SimpleType(fam, rank)
+    model = build_chevalley(t, max_rank=8)
+    ref = ReferenceModel(build_root_system(t))
+    assert model.roots == ref.roots
+    for alpha in model.roots:
+        for beta in model.roots:
+            gamma = tuple(a + b for a, b in zip(alpha, beta))
+            if gamma in ref.root_set:
+                entry = model.table[(model.root_index(alpha), model.root_index(beta))]
+                assert entry == ((model.root_index(gamma), ref.n(alpha, beta)),), (alpha, beta)
+    for i in range(model.dimension):
+        for j in range(model.dimension):
+            assert model.bracket({i: Q(1)}, {j: Q(1)}) == ref.bracket({i: Q(1)}, {j: Q(1)}), (i, j)
 
 
 def test_cartan_acts_with_integer_eigenvalues():
