@@ -12,11 +12,6 @@ from typing import Iterable, Sequence
 Vec = tuple[Q, ...]
 
 
-def vec(values: Iterable) -> Vec:
-    """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(Q(v) for v in values)
-
-
 def _integer_row(row: Sequence[Q]) -> list[int]:
     """An int or Fraction row scaled by the lcm of its denominators to integers."""
     scale = lcm(*{x.denominator for x in row})
@@ -110,10 +105,6 @@ class RationalSubspace:
 
     ambient_dimension: int
     basis: tuple[Vec, ...]
-
-    @classmethod
-    def span_of(cls, ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> "RationalSubspace":
-        return cls(ambient_dimension, tuple(tuple(r) for r in rref(vectors)))
 
     @property
     def dim(self) -> int:

@@ -226,9 +226,3 @@ def opposition_involution(t: SimpleType) -> DiagramInvolution:
             raise AssertionError("dominantized negated fundamental weight is not fundamental")
         perm.append(ones[0])
     return DiagramInvolution(t, tuple(perm))
-
-
-def dominantize_weights(t: SimpleType, weights) -> Vec:
-    """Dominant chamber representative of a weight vector in Psi-coordinates."""
-    a = cartan_matrix(t)
-    return tuple(_dominantize([Q(w) for w in weights], a))

@@ -3,6 +3,8 @@
 current canonical basis and the span is recomputed by `Fraction` RREF; the
 candidate is kept iff the dimension grows."""
 
+from rref_reference import span_of
+
 from orbitspan.rational import RationalSubspace
 
 
@@ -11,7 +13,7 @@ def greedy_reference(vectors, l):
     span = RationalSubspace(l, ())
     picked = []
     for k, v in enumerate(vectors):
-        bigger = RationalSubspace.span_of(l, list(span.basis) + [v])
+        bigger = span_of(l, list(span.basis) + [v])
         if bigger.dim > span.dim:
             span = bigger
             picked.append(k)

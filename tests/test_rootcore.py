@@ -3,8 +3,9 @@
 from fractions import Fraction as Q
 
 import pytest
+from rref_reference import vec
 
-from orbitspan.rational import coordinate_kernel, vec
+from orbitspan.rational import coordinate_kernel
 from orbitspan.rootcore import (
     SimpleType,
     WeightedDiagram,

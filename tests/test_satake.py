@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rref_reference import vec
 
-from orbitspan.rational import vec
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import (
     LabelError,
