@@ -161,6 +161,8 @@ def cmd_pairs(args) -> int:
         if args.format == "json":
             payload = None if found is None else {"entry": found[0].to_json(), "parameters": found[1]}
             _write(args.out, _json_dumps(payload) + "\n")
+        elif args.format == "csv":
+            _write(args.out, table_csv([] if found is None else [found[0]]))
         elif found is None:
             _write(args.out, "no matching pair\n")
         else:
@@ -172,7 +174,7 @@ def cmd_pairs(args) -> int:
     if args.format == "json":
         _write(args.out, _json_dumps([e.to_json() for e in entries]) + "\n")
     elif args.format == "csv":
-        _write(args.out, table_csv())
+        _write(args.out, table_csv(entries))
     else:
         lines = [f"{e.g:14s} {e.h_display():38s} {e.condition}" for e in entries]
         _write(args.out, "\n".join(lines) + "\n")

@@ -77,7 +77,7 @@ class OrbitDiagram:
 
     def __post_init__(self):
         for w in self.diagram.weights:
-            if type(w) is not int or not 0 <= w <= 2:
+            if not 0 <= w <= 2:
                 raise ValueError(f"orbit diagram weights must be 0, 1 or 2; got {w}")
 
 

@@ -1,80 +1,90 @@
 """Symmetric pairs (g, h) with simple g admitting proper SL(2,R) actions:
 the published classification table (with its four corrections applied) as
-static data, plus parameterized lookup."""
+static data, plus parameterized lookup.  A row's patterns and a concrete
+pair's symbols share one grammar; a lookup places the concrete summands on a
+row's patterns and solves the resulting linear parameter equations with
+`rational.solve`."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, Optional
+
+from .rational import solve
 
 Summand = tuple[str, tuple[int, ...], Optional[str]]  # (head, args, field)
+Equation = tuple[dict[str, int], int]  # (linear form {var: coeff, "": const}, value)
 
-_SUMMAND_RE = re.compile(r"^\s*(e6|e7|e8|f4|g2|sl|su\*|su|so\*|so|sp)\s*(C)?\s*(?:\(([^()]*)\))?\s*$")
+_SYMBOL_RE = re.compile(r"^\s*(e6|e7|e8|f4|g2|sl|su\*|su|so\*|so|sp)\s*(C)?\s*(?:\(([^()]*)\))?\s*$")
+
+
+def _pieces(text: str) -> tuple[str, list[str], Optional[str]]:
+    """Split an algebra symbol such as sp(2,1), sl(4,R), e6C, or a row pattern
+    such as so*(4m-4i+2), into head, argument strings and field."""
+    m = _SYMBOL_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse algebra symbol {text!r}")
+    head, complex_mark, body = m.groups()
+    pieces = [] if body is None else [piece.strip() for piece in body.split(",")]
+    fields = ["C" if complex_mark else None] + [piece for piece in pieces if piece in ("R", "C")]
+    return head, [piece for piece in pieces if piece not in ("R", "C")], fields[-1]
 
 
 def parse_summand(text: str) -> Summand:
     """Parse one algebra symbol such as sp(2,1), sl(4,R), so(5,C), su*(6), e6(-14) or e6C."""
-    m = _SUMMAND_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse algebra symbol {text!r}")
-    head, complex_mark, body = m.group(1), m.group(2), m.group(3)
-    field = "C" if complex_mark else None
-    args: list[int] = []
-    if body is not None:
-        for piece in body.split(","):
-            piece = piece.strip()
-            if piece == "R":
-                field = "R"
-            elif piece == "C":
-                field = "C"
-            else:
-                args.append(int(piece))
-    return head, tuple(args), field
+    head, args, field = _pieces(text)
+    return head, tuple(int(arg) for arg in args), field
 
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*([a-z]?)")
+def _linear_form(expr: str) -> dict[str, int]:
+    """A pattern argument such as '4m-4i+2' as {'m': 4, 'i': -4, '': 2}."""
+    form: dict[str, int] = {}
+    for term in filter(None, expr.replace("-", "+-").split("+")):
+        var = term[-1] if term[-1].isalpha() else ""
+        coeff = term[: len(term) - len(var)]
+        form[var] = form.get(var, 0) + int(coeff + "1" if coeff in ("", "-") else coeff)
+    return form
 
 
-def _expr_terms(expr: str) -> list[tuple[int, str]]:
-    """Linear expression like '4m-4i+2' as (coefficient, variable|'') terms."""
-    terms = []
-    for sign, num, var in _TERM_RE.findall(expr.replace(" ", "")):
-        if not num and not var:
-            continue
-        coeff = int(num) if num else 1
-        if sign == "-":
-            coeff = -coeff
-        terms.append((coeff, var))
-    return terms
+@lru_cache(maxsize=None)
+def _pattern(text: str) -> tuple[str, tuple[dict[str, int], ...], Optional[str]]:
+    head, args, field = _pieces(text)
+    return head, tuple(_linear_form(arg) for arg in args), field
 
 
-def _eval_expr(expr: str, env: dict[str, int]) -> Optional[int]:
-    total = 0
-    for coeff, var in _expr_terms(expr):
-        if var:
-            if var not in env:
-                return None
-            total += coeff * env[var]
-        else:
-            total += coeff
-    return total
+def _equations(pattern: str, concrete: Summand) -> list[list[Equation]]:
+    """The ways to place a concrete summand on a pattern, as equation lists:
+    the arguments in their order, then swapped when two differ."""
+    head, forms, field = _pattern(pattern)
+    chead, cargs, cfield = concrete
+    if (head, field, len(forms)) != (chead, cfield, len(cargs)):
+        return []
+    return [list(zip(forms, args)) for args in dict.fromkeys((cargs, cargs[::-1]))]
 
 
-def _bind_expr(expr: str, value: int, env: dict[str, int]) -> Optional[dict[str, int]]:
-    """Extend env so that expr == value, if a single unknown makes it solvable."""
-    unknowns = [(c, v) for c, v in _expr_terms(expr) if v and v not in env]
-    if not unknowns:
-        return env if _eval_expr(expr, env) == value else None
-    if len(unknowns) > 1 or unknowns[0][0] == 0:
+def _placements(pats, items, equations: list[Equation]) -> Iterator[list[Equation]]:
+    """Every placement of the concrete summands on the patterns, one summand per
+    pattern, taken pattern by pattern and item by item."""
+    if not pats:
+        yield equations
+        return
+    for idx, item in enumerate(items):
+        for eqs in _equations(pats[0], item):
+            yield from _placements(pats[1:], items[:idx] + items[idx + 1 :], equations + eqs)
+
+
+def _solve(equations: list[Equation]) -> Optional[dict[str, int]]:
+    """The parameter values solving every equation by `rational.solve`, or None
+    when the system is inconsistent or its solution is not integral.  A free
+    parameter would be set to 0; every row's equations have full column rank."""
+    names = list(dict.fromkeys(var for form, _ in equations for var in form if var))
+    rows = [[form.get(var, 0) for var in names] for form, _ in equations]
+    x = solve(rows, [value - form.get("", 0) for form, value in equations]) if equations else []
+    if x is None or any(c.denominator != 1 for c in x):
         return None
-    coeff, var = unknowns[0]
-    rest = value - sum(c * (env[v] if v else 1) for c, v in _expr_terms(expr) if v != var)
-    if rest % coeff:
-        return None
-    out = dict(env)
-    out[var] = rest // coeff
-    return out
+    return {var: int(c) for var, c in zip(names, x)}
 
 
 _DOMAINS = {"k": 1, "m": 1, "n": 2, "p": 1, "q": 1, "i": 0, "j": 0}
@@ -93,58 +103,6 @@ class SymmetricPairEntry:
 
     def to_json(self) -> dict:
         return {"g": self.g, "h": self.h_display(), "condition": self.condition}
-
-
-def _pattern_pieces(pattern: str) -> tuple[str, tuple[str, ...], Optional[str]]:
-    m = re.match(r"^(e6|e7|e8|f4|g2|sl|su\*|su|so\*|so|sp)(C)?(?:\(([^()]*)\))?$", pattern.replace(" ", ""))
-    head, cmark, body = m.group(1), m.group(2), m.group(3)
-    field = "C" if cmark else None
-    exprs: list[str] = []
-    if body:
-        for piece in body.split(","):
-            if piece == "R":
-                field = "R"
-            elif piece == "C":
-                field = "C"
-            else:
-                exprs.append(piece)
-    return head, tuple(exprs), field
-
-
-def _match_summand(pattern: str, concrete: Summand, env: dict[str, int]) -> list[dict[str, int]]:
-    head, exprs, field = _pattern_pieces(pattern)
-    chead, cargs, cfield = concrete
-    if head != chead or field != cfield or len(exprs) != len(cargs):
-        return []
-    orders = [cargs]
-    if len(cargs) == 2 and cargs[0] != cargs[1]:
-        orders.append((cargs[1], cargs[0]))
-    results = []
-    for args in orders:
-        cur: Optional[dict[str, int]] = dict(env)
-        pending = list(zip(exprs, args))
-        progress = True
-        while cur is not None and pending and progress:
-            progress = False
-            rest = []
-            for expr, val in pending:
-                ext = _bind_expr(expr, val, cur)
-                if ext is not None:
-                    cur = ext
-                    progress = True
-                elif _eval_expr(expr, cur) is None:
-                    rest.append((expr, val))
-                else:
-                    cur = None
-                    break
-            pending = rest
-        if cur is not None and not pending:
-            results.append(cur)
-    return results
-
-
-def _domains_ok(env: dict[str, int]) -> bool:
-    return all(env[v] >= _DOMAINS[v] for v in env)
 
 
 def _mins(env, a, b, c, d):
@@ -249,21 +207,18 @@ def proper_sl2_pairs() -> list[SymmetricPairEntry]:
 
 
 def _match_row(row, g: Summand, h: list[Summand]) -> Optional[dict[str, int]]:
+    """The first parameter values placing g and h on the row and passing its
+    domains and side condition; the g equations are solved on their own first,
+    which prunes most rows before any h placement is tried."""
     g_pat, h_pats, _, check = row
     if len(h_pats) != len(h):
         return None
-    for env0 in _match_summand(g_pat, g, {}):
-        # try every assignment of concrete summands to h patterns
-        def assign(pats, items, env):
-            if not pats:
-                yield env
-                return
-            for idx, item in enumerate(items):
-                for env2 in _match_summand(pats[0], item, env):
-                    yield from assign(pats[1:], items[:idx] + items[idx + 1 :], env2)
-
-        for env in assign(list(h_pats), list(h), env0):
-            if _domains_ok(env) and check(env):
+    for g_eqs in _equations(g_pat, g):
+        if _solve(g_eqs) is None:
+            continue
+        for eqs in _placements(h_pats, h, g_eqs):
+            env = _solve(eqs)
+            if env is not None and all(env[v] >= _DOMAINS[v] for v in env) and check(env):
                 return env
     return None
 
@@ -286,17 +241,17 @@ def lookup_pair(g_label: str, h_description: str) -> Optional[tuple[SymmetricPai
 def pairs_for(g_label: str) -> list[SymmetricPairEntry]:
     """All rows whose g pattern can be instantiated to the given label."""
     g = parse_summand(g_label)
-    out = []
-    for row in _ROWS:
-        g_pat = row[0]
-        if _match_summand(g_pat, g, {}):
-            out.append(SymmetricPairEntry(row[0], row[1], row[2]))
-    return out
+    return [
+        SymmetricPairEntry(g_pat, h_pats, cond)
+        for g_pat, h_pats, cond, _ in _ROWS
+        if any(_solve(eqs) is not None for eqs in _equations(g_pat, g))
+    ]
 
 
-def table_csv() -> str:
+def table_csv(entries: Optional[list[SymmetricPairEntry]] = None) -> str:
+    """The given rows, by default the whole table, as CSV with a header line."""
     lines = ["g,h,condition"]
-    for entry in proper_sl2_pairs():
+    for entry in proper_sl2_pairs() if entries is None else entries:
         cond = entry.condition.replace('"', "'")
         lines.append(f'"{entry.g}","{entry.h_display()}","{cond}"')
     return "\n".join(lines) + "\n"

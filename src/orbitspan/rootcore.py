@@ -11,10 +11,7 @@ Node ordering convention (frozen; every table in this package depends on it):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
-
-from .rational import Vec
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -102,25 +99,22 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def simple_root_norms(t: SimpleType) -> tuple[Q, ...]:
-    """Squared lengths (alpha_i, alpha_i), from the symmetrizer of the Cartan matrix."""
+def simple_root_norms(t: SimpleType) -> tuple[int, ...]:
+    """Squared lengths (alpha_i, alpha_i), 2 on the short roots, from the
+    symmetrizer d_i A_ij = d_j A_ji of the Cartan matrix.  Two root lengths
+    differ by a factor 2 or 3, so d seeded with 6 stays integral."""
     a = cartan_matrix(t)
     l = t.rank
-    d = [Q(0)] * l
-    d[0] = Q(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(l):
-            if d[i] == 0:
-                continue
-            for j in range(l):
-                if a[i][j] != 0 and d[j] == 0:
-                    # d_i * a_ij = d_j * a_ji
-                    d[j] = d[i] * a[i][j] / a[j][i]
-                    changed = True
-    scale = min(d)
-    return tuple(2 * x / scale for x in d)
+    d = {0: 6}
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(l):
+            if a[i][j] and j not in d:
+                d[j] = d[i] * a[i][j] // a[j][i]
+                todo.append(j)
+    scale = min(d.values())
+    return tuple(2 * d[i] // scale for i in range(l))
 
 
 @dataclass(frozen=True)
@@ -159,17 +153,21 @@ def build_root_system(t: SimpleType) -> RootSystemData:
 
 @dataclass(frozen=True)
 class WeightedDiagram:
-    """Weights on the Dynkin diagram nodes: the Psi-coordinates of a Cartan
-    element.  Integral weights are stored as ints, others as Fractions."""
+    """Integer weights on the Dynkin diagram nodes: the Psi-coordinates of a
+    Cartan element.  An integral Fraction weight is stored as its int."""
 
     simple_type: SimpleType
-    weights: Vec
+    weights: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weights) != self.simple_type.rank:
+        weights = tuple(self.weights)
+        if len(weights) != self.simple_type.rank:
             raise ValueError("weight count does not match rank")
-        exact = [w if type(w) is int else Q(w) for w in self.weights]
-        object.__setattr__(self, "weights", tuple(w.numerator if w.denominator == 1 else w for w in exact))
+        if any(type(w) is not int for w in weights):
+            if not all(getattr(w, "denominator", 0) == 1 for w in weights):
+                raise ValueError(f"diagram weights must be integers; got {weights}")
+            weights = tuple(w.numerator for w in weights)
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ def is_characteristic(
     if d.simple_type != t:
         raise ValueError("diagram type does not match the model")
     weights = list(d.weights)  # the list's repr seeds the trials
-    if any(type(w) is not int or w < 0 for w in weights):
+    if any(w < 0 for w in weights):
         raise ValueError("oracle needs nonnegative integer weights")
     if all(w == 0 for w in weights):
         return True, TripleWitness(d, (), ())

@@ -37,7 +37,7 @@ class ReferenceModel:
         self._index = {r: self.rank + k for k, r in enumerate(self.roots)}
         self.order = {r: k for k, r in enumerate(positives)}
         norms = simple_root_norms(t)
-        self._d = [n / 2 for n in norms]  # (alpha_i, alpha_i)/2
+        self._d = [Q(n, 2) for n in norms]  # (alpha_i, alpha_i)/2
         self._norm_cache: dict[IntVec, Q] = {}
         self._ntable: dict[tuple[IntVec, IntVec], Q] = {}
         self._build_structure_constants()

@@ -123,6 +123,15 @@ def test_pairs_queries(capsys):
     assert capsys.readouterr().out.startswith("g,h,condition")
 
 
+def test_pairs_csv_keeps_to_g_and_h(capsys):
+    assert main(["pairs", "--g", "e8(8)", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == 'g,h,condition\n"e8(8)","e7(-5) + su(2)",""\n"e8(8)","so*(16)",""\n'
+    assert main(["pairs", "--g", "su(4,2)", "--h", "sp(2,1)", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == 'g,h,condition\n"su(2p,2q)","sp(p,q)",""\n'
+    assert main(["pairs", "--g", "sl(4,R)", "--h", "so(2,2)", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == "g,h,condition\n"
+
+
 def test_pairs_h_without_g_is_usage_error(capsys):
     assert main(["pairs", "--h", "sp(2,1)"]) == 2
     captured = capsys.readouterr()

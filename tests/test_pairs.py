@@ -1,14 +1,46 @@
 """The corrected symmetric-pair table and its parameterized lookup."""
 
+import hashlib
+import itertools
+import json
+import re
+
 import pytest
 
 from orbitspan.pairs import (
+    _DOMAINS,
+    _ROWS,
+    _pattern,
     lookup_pair,
     pairs_for,
     parse_summand,
     proper_sl2_pairs,
     table_csv,
 )
+from orbitspan.rational import independent_prefix
+
+_ARG_RE = re.compile(r"(?<=[(,])[^(),]+")
+
+
+def _variables(row) -> list[str]:
+    return sorted({v for pat in (row[0], *row[1]) for arg in _ARG_RE.findall(pat) for v in re.findall("[a-z]", arg)})
+
+
+def _instantiate(pattern: str, env: dict[str, int]) -> str:
+    """A row pattern with each argument evaluated by Python at the parameters:
+    so*(4m-4i+2) at m=2, i=1 is so*(6)."""
+
+    def value(m):
+        arg = m.group(0)
+        return arg if arg in ("R", "C") else str(eval(re.sub(r"(\d)([a-z])", r"\1*\2", arg), {}, dict(env)))
+
+    return _ARG_RE.sub(value, pattern)
+
+
+def _canonical(summand):
+    """A summand with its arguments sorted: su(2,5) and su(5,2) are one algebra."""
+    head, args, field = summand
+    return head, tuple(sorted(args)), field or ""
 
 
 def test_row_count():
@@ -130,3 +162,54 @@ def test_g_patterns_instantiate_to_catalog_labels():
             parse_label(text)
         except LabelError as exc:
             raise AssertionError(f"g pattern {entry.g} instance {text} rejected: {exc}")
+
+
+def test_every_row_determines_its_parameters():
+    """The g and h argument forms of each row have full column rank, so a
+    solution of the row's equations is unique and no free parameter is set to 0."""
+    for row in _ROWS:
+        names = _variables(row)
+        forms = [form for pat in (row[0], *row[1]) for form in _pattern(pat)[1]]
+        columns = [[form.get(v, 0) for form in forms] for v in names]
+        assert len(independent_prefix(columns)) == len(names), row[:2]
+
+
+def test_instantiated_rows_are_found_again():
+    """Each row, instantiated wherever its domains and condition hold, is
+    looked up to a row that instantiates back to the same g and h."""
+    checked = 0
+    for row in _ROWS:
+        g_pat, h_pats, _, check = row
+        names = _variables(row)
+        for values in itertools.product(range(6), repeat=len(names)):
+            env = dict(zip(names, values))
+            if not (all(env[v] >= _DOMAINS[v] for v in env) and check(env)):
+                continue
+            g, h = _instantiate(g_pat, env), [_instantiate(pat, env) for pat in h_pats]
+            found = lookup_pair(g, " + ".join(reversed(h)))
+            assert found is not None, (g, h)
+            entry, env2 = found
+            assert _canonical(parse_summand(_instantiate(entry.g, env2))) == _canonical(parse_summand(g))
+            back = sorted(_canonical(parse_summand(_instantiate(pat, env2))) for pat in entry.h)
+            assert back == sorted(_canonical(parse_summand(text)) for text in h), (g, h, entry, env2)
+            checked += 1
+    assert checked > 800
+
+
+# sha256 of the lookups below: it pins which row, and which parameters, the
+# first match gives for every order of the h summands.
+_GRID_SHA256 = "fed7120bd7cda57cdfce575b599fba8d49d62964b012af786bd2c7c745c562f3"
+
+
+def test_lookup_grid_is_pinned():
+    results = []
+    for row in _ROWS:
+        names = _variables(row)
+        for values in itertools.product(range(3), repeat=len(names)):
+            env = dict(zip(names, values))
+            g = _instantiate(row[0], env)
+            for h in itertools.permutations([_instantiate(pat, env) for pat in row[1]]):
+                found = lookup_pair(g, " + ".join(h))
+                results.append([g, h, found and [found[0].to_json(), found[1]]])
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert (len(results), digest) == (1181, _GRID_SHA256)

@@ -12,6 +12,7 @@ from orbitspan.rootcore import (
     build_root_system,
     cartan_matrix,
     opposition_involution,
+    simple_root_norms,
 )
 
 # closed-form positive root counts, independent of the reflection-closure code
@@ -163,9 +164,18 @@ def test_involution_acts_on_diagrams():
 
 
 def test_weighted_diagram_stores_integral_weights_as_ints():
-    d = WeightedDiagram(SimpleType("A", 3), (Q(2), Q(1, 2), 0))
-    assert [type(x) for x in d.weights] == [int, Q, int]
-    assert d.weights == (2, Q(1, 2), 0)
+    d = WeightedDiagram(SimpleType("A", 3), (Q(2), 1, Q(0)))
+    assert [type(x) for x in d.weights] == [int, int, int]
+    assert d.weights == (2, 1, 0)
+    with pytest.raises(ValueError):
+        WeightedDiagram(SimpleType("A", 3), (Q(2), Q(1, 2), 0))
+
+
+def test_simple_root_norms_are_ints_with_short_roots_2():
+    expected = {("B", 3): (4, 4, 2), ("C", 3): (2, 2, 4), ("F", 4): (4, 4, 2, 2), ("G", 2): (6, 2), ("E", 6): (2,) * 6}
+    for (family, rank), norms in expected.items():
+        got = simple_root_norms(SimpleType(family, rank))
+        assert got == norms and all(type(n) is int for n in got)
 
 
 def test_weighted_diagram_validates_rank():

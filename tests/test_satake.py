@@ -1,5 +1,7 @@
 """Satake catalog, matching predicate and the diagram-space subspaces."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,8 +241,10 @@ def test_matching_diagrams_closed_under_combinations(text, coeffs):
     basis = matching_subspace(s).basis
     d1 = WeightedDiagram(t, basis[0])
     d2 = WeightedDiagram(t, basis[-1])
+    # weights are integers: the combination is scaled by its coefficients' denominators
+    scale = lcm(coeffs[0].denominator, coeffs[1].denominator)
     combo = WeightedDiagram(
-        t, tuple(coeffs[0] * a + coeffs[1] * b for a, b in zip(d1.weights, d2.weights))
+        t, tuple(scale * (coeffs[0] * a + coeffs[1] * b) for a, b in zip(d1.weights, d2.weights))
     )
     assert matches(combo, s)
 
