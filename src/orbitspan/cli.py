@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the span theorem for labels")
     p_verify.add_argument("labels", nargs="*", help="real-form labels")
     p_verify.add_argument("--all", action="store_true", help="verify the whole catalog")
-    p_verify.add_argument("--bound", type=int, default=12, help="rank bound for --all (default 12)")
+    bound_help = "rank bound on the classical forms for --all; the 17 exceptional forms are always listed (default 12)"
+    p_verify.add_argument("--bound", type=int, default=12, help=bound_help)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--verbose", action="store_true", help="include all matching diagrams in reports")
     p_verify.add_argument("--out", help="write output to a file")

@@ -35,7 +35,10 @@ def _pieces(text: str) -> tuple[str, list[str], Optional[str]]:
 def parse_summand(text: str) -> Summand:
     """Parse one algebra symbol such as sp(2,1), sl(4,R), so(5,C), su*(6), e6(-14) or e6C."""
     head, args, field = _pieces(text)
-    return head, tuple(int(arg) for arg in args), field
+    try:
+        return head, tuple(int(arg) for arg in args), field
+    except ValueError:  # a pattern argument such as 2k, or no argument at all
+        raise ValueError(f"cannot parse algebra symbol {text!r}") from None
 
 
 def _linear_form(expr: str) -> dict[str, int]:

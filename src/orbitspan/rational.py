@@ -80,9 +80,10 @@ def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
     augmented row with its pivot in the rhs column).  The pivot variables are
     back-substituted in reverse pick order and the free ones are 0: as every
     echelon form has the same pivots, this is what `rref` of [rows | rhs] gives.
+    Raises ValueError on an empty system, whose column count is unknown.
     """
     if not rows:
-        return None
+        raise ValueError("solve needs at least one row")
     ncols = len(rows[0])
     echelon = _echelon(_integer_row([*row, b]) for row, b in zip(rows, rhs))[1]
     if any(p == ncols for p, _ in echelon):

@@ -26,6 +26,33 @@ _EXCEPTIONAL = {
 }
 
 
+# (kind, signature) -> (black nodes, arrows) of the non-split real exceptional forms
+_EXCEPTIONAL_SATAKE = {
+    ("e6", 2): ((), [(0, 4), (1, 3)]),
+    ("e6", -14): ((1, 2, 3), [(0, 4)]),
+    ("e6", -26): ((1, 2, 3, 5), ()),
+    ("e7", -5): ((0, 2, 6), ()),
+    ("e7", -25): ((2, 3, 4, 6), ()),
+    ("e8", -24): ((3, 4, 5, 7), ()),
+    ("f4", -20): ((0, 1, 2), ()),
+}
+
+# kind -> how a label of that kind is written, one "{}" per parameter
+_FORMATS = {
+    "sl": "sl({},R)",
+    "su*": "su*({})",
+    "su": "su({},{})",
+    "so": "so({},{})",
+    "spR": "sp({},R)",
+    "sp": "sp({},{})",
+    "so*": "so*({})",
+    **{k: k + "({})" for k in (*_EXCEPTIONAL, "slC", "soC", "spC")},
+    **{k + "C": k + "C" for k in _EXCEPTIONAL},
+}
+# (head, shape) -> kind; the shape is "", "({})", "({},R)" or "({},{})"
+_KINDS = {re.fullmatch(r"([^(]*)(.*)", fmt).groups(): kind for kind, fmt in _FORMATS.items()}
+
+
 @dataclass(frozen=True, order=True)
 class RealFormLabel:
     """A catalog label such as su(4,2), so*(12), e7(-5) or slC(4)."""
@@ -34,148 +61,39 @@ class RealFormLabel:
     params: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        k, p = self.kind, self.params
-        if k == "sl":
-            return f"sl({p[0]},R)"
-        if k == "su*":
-            return f"su*({p[0]})"
-        if k == "su":
-            return f"su({p[0]},{p[1]})"
-        if k == "so":
-            return f"so({p[0]},{p[1]})"
-        if k == "spR":
-            return f"sp({p[0]},R)"
-        if k == "sp":
-            return f"sp({p[0]},{p[1]})"
-        if k == "so*":
-            return f"so*({p[0]})"
-        if k in _EXCEPTIONAL:
-            return f"{k}({p[0]})"
-        if k in ("slC", "soC", "spC"):
-            return f"{k[:2]}C({p[0]})"
-        if self.is_complex and k[:-1] in _EXCEPTIONAL:
-            return k
-        raise AssertionError(k)
+        return _FORMATS[self.kind].format(*self.params)
 
     @property
     def is_complex(self) -> bool:
         return self.kind.endswith("C")
 
 
-_LABEL_RE = re.compile(r"^\s*([a-z]+[0-9]?\*?C?)\s*\(\s*(-?\d+)\s*(?:,\s*(-?\d+|R)\s*)?\)\s*$")
-_COMPLEX_EXC_RE = re.compile(r"^\s*(e6|e7|e8|f4|g2)C\s*$")
+_LABEL_RE = re.compile(r"^\s*([a-z]+[0-9]?\*?C?)\s*(?:\(\s*(-?\d+)\s*(?:,\s*(-?\d+|R)\s*)?\))?\s*$")
 
 
 def parse_label(text: str) -> RealFormLabel:
     """Parse and validate a label string; canonicalizes su/so/sp signatures to p >= q."""
-    m = _COMPLEX_EXC_RE.match(text)
-    if m:
-        return validate_label(RealFormLabel(m.group(1) + "C"))
     m = _LABEL_RE.match(text)
     unparsed = LabelError(f"cannot parse label {text!r}; see `orbitspan forms` for the grammar")
     if not m:
         raise unparsed
-    head, second = m.group(1), m.group(3)
+    head, args = m.group(1), [arg for arg in m.group(2, 3) if arg is not None]
     try:
-        first = int(m.group(2))
-        q = None if second in (None, "R") else int(second)
+        params = tuple(sorted((int(arg) for arg in args if arg != "R"), reverse=True))
     except ValueError as exc:  # an integer over Python's digit limit
         raise LabelError(f"cannot parse label {text!r}: {exc}") from None
-    if head in ("sl", "sp") and second == "R":
-        return validate_label(RealFormLabel("spR" if head == "sp" else "sl", (first,)))
-    if head in ("su", "so", "sp") and q is not None:
-        return validate_label(RealFormLabel(head, (max(first, q), min(first, q))))
-    if second is None and (head in ("su*", "so*", "slC", "soC", "spC") or head in _EXCEPTIONAL):
-        return validate_label(RealFormLabel(head, (first,)))
-    raise unparsed
-
-
-def validate_label(label: RealFormLabel) -> RealFormLabel:
-    underlying_type(label)
+    shape = "({})".format(",".join("R" if arg == "R" else "{}" for arg in args)) if args else ""
+    if (head, shape) not in _KINDS:
+        raise unparsed
+    label = RealFormLabel(_KINDS[head, shape], params)
+    satake_catalog(label)
     return label
 
 
 def underlying_type(label: RealFormLabel) -> SimpleType:
-    """The complex simple type the label lives over; raises LabelError for
-    compact forms, non-simple cases and low-rank aliases."""
-    k, p = label.kind, label.params
-
-    def fail(msg):
-        raise LabelError(f"{label}: {msg}")
-
-    if k == "sl":
-        if p[0] < 2:
-            fail("needs n >= 2")
-        return SimpleType("A", p[0] - 1)
-    if k == "su*":
-        n = p[0]
-        if n % 2 != 0 or n < 4:
-            fail("needs even argument 2k with k >= 2 (su*(2) is compact su(2))")
-        return SimpleType("A", n - 1)
-    if k == "su":
-        pp, q = p
-        if q < 1:
-            fail("compact form (q = 0) is excluded")
-        return SimpleType("A", pp + q - 1)
-    if k == "so":
-        pp, q = p
-        n = pp + q
-        if q < 1:
-            fail("compact form (q = 0) is excluded")
-        if n % 2 == 1:
-            if n < 5:
-                fail("so(2,1) is an alias of sl(2,R); B_1 is excluded")
-            return SimpleType("B", (n - 1) // 2)
-        if n == 2:
-            fail("so(1,1) is abelian, not simple")
-        if n == 4:
-            fail("not simple: so(2,2) = sl(2,R)+sl(2,R); so(3,1) is slC(2) as a real algebra")
-        if n == 6:
-            aliases = {(5, 1): "su*(4)", (4, 2): "su(2,2)", (3, 3): "sl(4,R)"}
-            fail(f"D_3 alias; use {aliases[(pp, q)]}")
-        return SimpleType("D", n // 2)
-    if k == "spR":
-        if p[0] < 1:
-            fail("needs l >= 1")
-        if p[0] == 1:
-            return SimpleType("A", 1)  # sp(1,R) = sl(2,R); kept as a label per the catalog
-        return SimpleType("C", p[0])
-    if k == "sp":
-        pp, q = p
-        if q < 1:
-            fail("compact form (q = 0) is excluded")
-        return SimpleType("C", pp + q)
-    if k == "so*":
-        n = p[0]
-        if n % 2 != 0 or n < 6:
-            fail("needs even argument 2n with n >= 3")
-        if n == 6:
-            fail("so*(6) is an alias of su(3,1); D_3 is excluded")
-        return SimpleType("D", n // 2)
-    if k in _EXCEPTIONAL:
-        t, signatures = _EXCEPTIONAL[k]
-        if p[0] not in signatures:
-            fail(f"signature must be one of {signatures}")
-        return t
-    if k == "slC":
-        if p[0] < 2:
-            fail("needs n >= 2")
-        return SimpleType("A", p[0] - 1)
-    if k == "soC":
-        n = p[0]
-        if n < 5 or n in (6,):
-            hints = {3: "slC(2)", 4: "not simple", 6: "slC(4)"}
-            fail(f"so({n},C) is excluded ({hints.get(n, 'rank too small')})")
-        if n % 2 == 1:
-            return SimpleType("B", (n - 1) // 2)
-        return SimpleType("D", n // 2)
-    if k == "spC":
-        if p[0] < 2:
-            fail("needs l >= 2 (sp(1,C) is slC(2))")
-        return SimpleType("C", p[0])
-    if label.is_complex and k[:-1] in _EXCEPTIONAL:
-        return _EXCEPTIONAL[k[:-1]][0]
-    fail("unknown label kind")
+    """The complex simple type the label lives over; raises LabelError as
+    satake_catalog does."""
+    return satake_catalog(label).simple_type
 
 
 @dataclass(frozen=True)
@@ -210,59 +128,95 @@ class SatakeDiagram:
         }
 
 
-def _arrows(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
+def _diagram(family: str, rank: int, black=(), arrows=()) -> SatakeDiagram:
+    return SatakeDiagram(
+        SimpleType(family, rank), frozenset(black), tuple(sorted((min(i, j), max(i, j)) for i, j in arrows))
+    )
 
 
 @lru_cache(maxsize=None)
 def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
-    """The Satake diagram of a real form, by rank-parametric rules."""
-    t = underlying_type(label)
-    l = t.rank
+    """The Satake diagram of a real form, by rank-parametric rules.  This is
+    where a label is checked: raises LabelError for compact forms, non-simple
+    cases, low-rank aliases and a signature written p < q.  Complex simple
+    algebras viewed as real reduce to their split form's diagram."""
     k, p = label.kind, label.params
-    if label.is_complex:
-        # complex simple algebras reduce to their split real form
-        return SatakeDiagram(t, frozenset(), ())
-    if k in ("sl", "spR") or (k in _EXCEPTIONAL and tuple(p) == _EXCEPTIONAL[k][1][:1]):
-        return SatakeDiagram(t, frozenset(), ())
+
+    def fail(msg):
+        raise LabelError(f"{label}: {msg}")
+
+    if k in ("su", "so", "sp"):
+        if p[0] < p[1]:
+            fail("signature must be written p >= q")
+        if p[1] < 1:
+            fail("compact form (q = 0) is excluded")
+    if k in ("sl", "slC"):
+        if p[0] < 2:
+            fail("needs n >= 2")
+        return _diagram("A", p[0] - 1)
     if k == "su*":
-        return SatakeDiagram(t, frozenset(range(0, l, 2)), ())
+        n = p[0]
+        if n % 2 != 0 or n < 4:
+            fail("needs even argument 2k with k >= 2 (su*(2) is compact su(2))")
+        return _diagram("A", n - 1, range(0, n - 1, 2))
     if k == "su":
-        pp, q = p
-        black = frozenset(range(q, l - q))
-        arrows = _arrows((i, l - 1 - i) for i in range(q) if i != l - 1 - i)
-        return SatakeDiagram(t, black, arrows)
-    if k == "so" and t.family == "B":
-        q = p[1]
-        return SatakeDiagram(t, frozenset(range(q, l)), ())
-    if k == "so" and t.family == "D":
-        pp, q = p
-        if pp == q:
-            return SatakeDiagram(t, frozenset(), ())
-        if pp == q + 2:
-            return SatakeDiagram(t, frozenset(), _arrows([(l - 2, l - 1)]))
-        return SatakeDiagram(t, frozenset(range(q, l)), ())
+        l, q = sum(p) - 1, p[1]
+        return _diagram("A", l, range(q, l - q), [(i, l - 1 - i) for i in range(q) if i != l - 1 - i])
+    if k == "so":
+        q, n = p[1], sum(p)
+        if n % 2 == 1:
+            if n < 5:
+                fail("so(2,1) is an alias of sl(2,R); B_1 is excluded")
+            return _diagram("B", n // 2, range(q, n // 2))
+        if n == 2:
+            fail("so(1,1) is abelian, not simple")
+        if n == 4:
+            fail("not simple: so(2,2) = sl(2,R)+sl(2,R); so(3,1) is slC(2) as a real algebra")
+        if n == 6:
+            aliases = {(5, 1): "su*(4)", (4, 2): "su(2,2)", (3, 3): "sl(4,R)"}
+            fail(f"D_3 alias; use {aliases[p]}")
+        l = n // 2
+        if p[0] == q:
+            return _diagram("D", l)
+        if p[0] == q + 2:
+            return _diagram("D", l, (), [(l - 2, l - 1)])
+        return _diagram("D", l, range(q, l))
+    if k == "spR":
+        if p[0] < 1:
+            fail("needs l >= 1")
+        return _diagram("C" if p[0] > 1 else "A", p[0])  # sp(1,R) = sl(2,R); kept as a label
     if k == "sp":
-        q = p[1]
-        white = {2 * i + 1 for i in range(q)}
-        return SatakeDiagram(t, frozenset(set(range(l)) - white), ())
+        l = sum(p)
+        return _diagram("C", l, set(range(l)) - {2 * i + 1 for i in range(p[1])})
     if k == "so*":
-        m, odd = divmod(l, 2)
-        if odd:  # so*(4m+2): black odd chain nodes, arrow between the forks
-            black = frozenset(range(0, l - 2, 2))
-            return SatakeDiagram(t, black, _arrows([(l - 2, l - 1)]))
-        return SatakeDiagram(t, frozenset(range(0, l, 2)), ())
-    exceptional = {
-        ("e6", (2,)): (frozenset(), [(0, 4), (1, 3)]),
-        ("e6", (-14,)): (frozenset({1, 2, 3}), [(0, 4)]),
-        ("e6", (-26,)): (frozenset({1, 2, 3, 5}), []),
-        ("e7", (-5,)): (frozenset({0, 2, 6}), []),
-        ("e7", (-25,)): (frozenset({2, 3, 4, 6}), []),
-        ("e8", (-24,)): (frozenset({3, 4, 5, 7}), []),
-        ("f4", (-20,)): (frozenset({0, 1, 2}), []),
-    }
-    black, arrows = exceptional[(k, tuple(p))]
-    return SatakeDiagram(t, black, _arrows(arrows))
+        n = p[0]
+        if n % 2 != 0 or n < 6:
+            fail("needs even argument 2n with n >= 3")
+        if n == 6:
+            fail("so*(6) is an alias of su(3,1); D_3 is excluded")
+        l = n // 2
+        if l % 2:  # so*(4m+2): black odd chain nodes, arrow between the forks
+            return _diagram("D", l, range(0, l - 2, 2), [(l - 2, l - 1)])
+        return _diagram("D", l, range(0, l, 2))
+    if k in _EXCEPTIONAL:
+        t, signatures = _EXCEPTIONAL[k]
+        if p[0] not in signatures:
+            fail(f"signature must be one of {signatures}")
+        return _diagram(t.family, t.rank, *_EXCEPTIONAL_SATAKE.get((k, p[0]), ()))
+    if k == "soC":
+        n = p[0]
+        if n < 5 or n in (6,):
+            hints = {3: "slC(2)", 4: "not simple", 6: "slC(4)"}
+            fail(f"so({n},C) is excluded ({hints.get(n, 'rank too small')})")
+        return _diagram("B" if n % 2 else "D", n // 2)
+    if k == "spC":
+        if p[0] < 2:
+            fail("needs l >= 2 (sp(1,C) is slC(2))")
+        return _diagram("C", p[0])
+    if k[:-1] in _EXCEPTIONAL and label.is_complex:
+        t = _EXCEPTIONAL[k[:-1]][0]
+        return _diagram(t.family, t.rank)
+    raise LabelError(f"unknown label kind {k!r}")
 
 
 def matches(d: WeightedDiagram, s: SatakeDiagram) -> bool:
@@ -306,45 +260,37 @@ def split_label_of(label: RealFormLabel) -> RealFormLabel:
     return _split_label(underlying_type(label)) if label.is_complex else label
 
 
-def catalog_labels(rank_bound: int = 12, include_complex: bool = True) -> list[RealFormLabel]:
-    """Every catalog label with underlying rank <= rank_bound, sorted by name."""
+def catalog_labels(rank_bound: int = 12) -> list[RealFormLabel]:
+    """The catalog, sorted by name: all 17 exceptional labels, real and complex,
+    whatever the bound (so the bound is not a rank bound for them), and every
+    classical label of underlying rank <= rank_bound.  The classical labels are
+    the one- and two-parameter candidates that satake_catalog accepts."""
     if rank_bound < 2:
         raise ValueError("rank bound must be >= 2")
-    out: list[RealFormLabel] = []
-    for l in range(1, rank_bound + 1):
-        out.append(RealFormLabel("sl", (l + 1,)))
-        if l % 2 == 1 and l >= 3:
-            out.append(RealFormLabel("su*", (l + 1,)))
-        n = l + 1
-        out.extend(RealFormLabel("su", (n - q, q)) for q in range(1, n // 2 + 1))
-    for l in range(2, rank_bound + 1):
-        n = 2 * l + 1
-        out.extend(RealFormLabel("so", (n - q, q)) for q in range(1, l + 1))
-    for l in range(1, rank_bound + 1):
-        out.append(RealFormLabel("spR", (l,)))
-        if l >= 2:
-            out.extend(RealFormLabel("sp", (l - q, q)) for q in range(1, l // 2 + 1))
-    for l in range(4, rank_bound + 1):
-        n = 2 * l
-        out.extend(RealFormLabel("so", (n - q, q)) for q in range(1, l + 1))
-        if n != 6:
-            out.append(RealFormLabel("so*", (n,)))
-    for kind, (_, signatures) in _EXCEPTIONAL.items():
-        out.extend(RealFormLabel(kind, (s,)) for s in signatures)
-    if include_complex:
-        out.extend(RealFormLabel("slC", (n,)) for n in range(2, rank_bound + 2))
-        out.extend(RealFormLabel("soC", (2 * k + 1,)) for k in range(2, rank_bound + 1))
-        out.extend(RealFormLabel("spC", (i,)) for i in range(2, rank_bound + 1))
-        out.extend(RealFormLabel("soC", (2 * k,)) for k in range(4, rank_bound + 1))
-        out.extend(RealFormLabel(k + "C") for k in _EXCEPTIONAL)
+    out = [RealFormLabel(k, (s,)) for k, (_, signatures) in _EXCEPTIONAL.items() for s in signatures]
+    out += [RealFormLabel(k + "C") for k in _EXCEPTIONAL]
+    sizes = range(2 * rank_bound + 2)
+    candidates = {1: [(n,) for n in sizes], 2: [(s - q, q) for s in sizes for q in range(s // 2 + 1)]}
+    for kind, fmt in _FORMATS.items():
+        if kind in _EXCEPTIONAL or kind[:-1] in _EXCEPTIONAL:
+            continue
+        for params in candidates[fmt.count("{}")]:
+            label = RealFormLabel(kind, params)
+            try:
+                rank = satake_catalog(label).simple_type.rank
+            except LabelError:
+                continue
+            if rank > rank_bound:
+                break  # the candidates come by growing size, and the rank grows with it
+            out.append(label)
     return sorted(out, key=str)
 
 
 def satake_to_dot(label: RealFormLabel) -> str:
     """DOT rendering: filled circles for black nodes, dashed double-headed
     edges for arrows, bond multiplicity annotations for Cartan bonds."""
-    t = underlying_type(label)
     s = satake_catalog(label)
+    t = s.simple_type
     lines = [f'graph "{label}" {{', "  layout=neato;", "  node [shape=circle, width=0.25, fixedsize=true];"]
     for i in range(t.rank):
         fill = ', style=filled, fillcolor=black, fontcolor=white' if i in s.black_nodes else ""

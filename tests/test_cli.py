@@ -1,19 +1,23 @@
 """CLI behaviour: exit codes, formats and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 
+import orbitspan
 from orbitspan import cli
 from orbitspan.cli import main
 
 
 def run_cli(args):
+    src = os.path.dirname(os.path.dirname(orbitspan.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitspan.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -130,6 +134,12 @@ def test_pairs_csv_keeps_to_g_and_h(capsys):
     assert capsys.readouterr().out == 'g,h,condition\n"su(2p,2q)","sp(p,q)",""\n'
     assert main(["pairs", "--g", "sl(4,R)", "--h", "so(2,2)", "--format", "csv"]) == 1
     assert capsys.readouterr().out == "g,h,condition\n"
+
+
+def test_pairs_pattern_symbol_is_usage_error():
+    code, out, err = run_cli(["pairs", "--g", "so(2k,C)"])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse algebra symbol 'so(2k,C)'\n"
 
 
 def test_pairs_h_without_g_is_usage_error(capsys):

@@ -44,6 +44,11 @@ def test_solve_consistent_and_inconsistent():
     assert solve(rows, [Q(2), Q(0), Q(5)]) is None
 
 
+def test_solve_rejects_an_empty_system():
+    with pytest.raises(ValueError, match="solve needs at least one row"):
+        solve([], [])
+
+
 def test_subspace_equality_is_structural():
     s1 = span_of(3, [vec([1, 1, 0]), vec([0, 0, 1])])
     s2 = span_of(3, [vec([2, 2, 2]), vec([0, 0, 5]), vec([1, 1, 1])])

@@ -1,5 +1,7 @@
 """Satake catalog, matching predicate and the diagram-space subspaces."""
 
+import hashlib
+import json
 from math import lcm
 
 import pytest
@@ -10,6 +12,7 @@ from rref_reference import vec
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import (
     LabelError,
+    RealFormLabel,
     b_subspace,
     catalog_labels,
     matches,
@@ -94,6 +97,55 @@ labelish = st.builds(
 @given(st.text(max_size=30) | labelish | st.sampled_from(catalog_labels(8)).map(str))
 def test_parse_label_yields_a_round_tripping_label_or_a_label_error(text):
     _parse_round_trips(text)
+
+
+_GRID_HEADS = [*KIND_TOKENS, "e7C", "e8C", "f4C", "spR", "s", "E6"]
+_GRID_ARGS = [str(i) for i in range(-1, 10)] + ["-14", "-26", "-5", "-25", "-24", "-20", "R"]
+_LABEL_GRID_SHA256 = "ae0b95d84811da6cfca3fd77212ef385a791ebe998ab220929b2fbfa52bd9d05"
+_CATALOG_SHA256 = "88c868075819dcb3613663bf351f1dc66a9448805395bbad7455162f9674e778"
+
+
+def _label_grid_digest():
+    """Every grid string with its label, name, type and diagram, or its LabelError text."""
+    records = []
+    for head in _GRID_HEADS:
+        texts = [head, f" {head} "] + [f"{head}({a})" for a in _GRID_ARGS]
+        texts += [f"{head} ( {a}, {b} )" for a in _GRID_ARGS for b in _GRID_ARGS]
+        for text in texts:
+            try:
+                label = parse_label(text)
+            except LabelError as exc:
+                records.append([text, str(exc)])
+                continue
+            diagram = satake_catalog(label).to_json()
+            records.append([text, repr(label), str(label), repr(underlying_type(label)), diagram])
+    return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def _catalog_digest():
+    catalogs = [[repr(label) for label in catalog_labels(b)] for b in range(2, 25)]
+    return hashlib.sha256(json.dumps(catalogs).encode()).hexdigest()
+
+
+def test_label_language_is_pinned():
+    assert _label_grid_digest() == (7912, _LABEL_GRID_SHA256)
+
+
+def test_catalog_is_pinned():
+    assert _catalog_digest() == _CATALOG_SHA256
+
+
+def test_catalog_labels_round_trip_through_their_names():
+    for label in catalog_labels(24):
+        assert parse_label(str(label)) == label
+
+
+def test_hand_built_labels_are_checked_by_the_catalog():
+    with pytest.raises(LabelError, match="p >= q"):
+        underlying_type(RealFormLabel("su", (2, 4)))
+    with pytest.raises(LabelError, match="unknown label kind"):
+        satake_catalog(RealFormLabel("xy", (3,)))
+    assert underlying_type(RealFormLabel("su", (4, 2))) == SimpleType("A", 5)
 
 
 def test_alias_rejections_mention_the_alias():
