@@ -72,6 +72,8 @@ def cmd_forms(args) -> int:
 
 
 def _resolve_labels(args) -> list[RealFormLabel]:
+    if args.all and args.labels:
+        raise LabelError("pass labels or --all, not both")
     if args.all:
         return catalog_labels(args.bound)
     if not args.labels:
@@ -154,9 +156,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    if args.h and not args.g:
+    if args.h is not None and args.g is None:
         raise ValueError("--h needs --g: a subalgebra is looked up within one algebra")
-    if args.g and args.h:
+    if args.h is not None:
         found = lookup_pair(args.g, args.h)
         if args.format == "json":
             payload = None if found is None else {"entry": found[0].to_json(), "parameters": found[1]}
@@ -170,7 +172,7 @@ def cmd_pairs(args) -> int:
             params = ", ".join(f"{k}={v}" for k, v in sorted(env.items()))
             _write(args.out, f"{entry.g}  |  {entry.h_display()}  [{entry.condition or 'no condition'}] ({params})\n")
         return EXIT_OK if found is not None else EXIT_VERIFICATION_FAILED
-    entries = pairs_for(args.g) if args.g else proper_sl2_pairs()
+    entries = proper_sl2_pairs() if args.g is None else pairs_for(args.g)
     if args.format == "json":
         _write(args.out, _json_dumps([e.to_json() for e in entries]) + "\n")
     elif args.format == "csv":
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.add_argument("label")
     p_orbits.add_argument("--format", choices=["text", "json"], default="text")
     p_orbits.add_argument("--oracle", action="store_true", help="certify each diagram with an exact sl2 witness")
-    p_orbits.add_argument("--trials", type=int, default=20, help="random trials per oracle query (default 20)")
+    p_orbits.add_argument("--trials", type=int, default=20, help="attempts to reach an E whose G_0-orbit is open (default 20)")
     p_orbits.add_argument("--out", help="write output to a file")
     p_orbits.set_defaults(func=cmd_orbits)
 

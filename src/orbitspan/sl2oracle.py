@@ -11,13 +11,12 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Optional
 
-from .rational import solve
+from .rational import independent_prefix, solve
 from .rootcore import RootSystemData, SimpleType, WeightedDiagram, build_root_system, simple_root_norms
 
 IntVec = tuple[int, ...]
 
 DEFAULT_RANK_BOUND = 6
-SWEEP_DIM_CAP = 12
 
 
 def _add(a: IntVec, b: IntVec) -> IntVec:
@@ -175,15 +174,17 @@ def is_characteristic(
     d: WeightedDiagram,
     trials: int = 20,
 ) -> tuple[bool, Optional[TripleWitness]]:
-    """Decide whether `d` is the characteristic of a nilpotent orbit.
+    """Decide whether `d` is the characteristic of a nilpotent orbit, exactly.
 
-    Each trial picks E = sum c_beta e_beta in g_2 and solves [E, F] = H for F
-    in g_{-2} by exact integer elimination: the matrices of ad(e_beta) from
-    g_{-2} to g_0 are read from the model's table once per diagram, so a
-    trial only sums them.  A
-    True answer is certified by exact brackets of the witness.  A False answer
-    is probabilistic: random small-coefficient E are tried, then a
-    deterministic {0,1}-coefficient sweep when g_2 is small enough.
+    Each trial draws E in g_2 and solves [E, F] = H for F in g_{-2} by exact
+    integer elimination; the matrices of ad(e_beta) from g_{-2} to g_0 are read
+    from the table once per diagram, so a trial only sums them.  True is
+    certified by exact brackets of the witness.  False comes only at a failed
+    solve whose E has full rank, i.e. ad E maps g_0 onto g_2 (the trial matrix
+    is minus its Killing transpose).  Then G_0.E is open in g_2, as is G_0.E'
+    for the E' of any sl2 triple with this H; two open orbits meet and G_0
+    fixes H, so no triple exists (de Graaf, LMS J. Comput. Math. 11 (2008)).
+    If no draw reaches a full-rank E, the query is undecided: ValueError.
     """
     t = model.root_system.simple_type
     if d.simple_type != t:
@@ -214,7 +215,7 @@ def is_characteristic(
     ]
 
     def certify(coeffs, y) -> TripleWitness:
-        e_elt = {model.root_index(beta): Q(c) for beta, c in zip(r2, coeffs) if c != 0}
+        e_elt = {model.root_index(beta): Q(c) for beta, c in zip(r2, coeffs)}
         f_elt = {model.root_index(_neg(delta)): v for delta, v in zip(r2, y) if v != 0}
         h_elt = {i: c for i, c in enumerate(h_coeffs) if c != 0}
         if model.bracket(h_elt, e_elt) != {k: 2 * v for k, v in e_elt.items()}:
@@ -227,23 +228,20 @@ def is_characteristic(
         f_pairs = tuple((model.roots[k - model.rank], c) for k, c in sorted(f_elt.items()))
         return TripleWitness(d, e_pairs, f_pairs)
 
-    def candidates():
-        rng = random.Random(zlib.crc32(f"{t}|{weights}".encode()))
-        for trial in range(trials):
-            spread = 3 if trial < trials // 2 else 9
-            pool = [x for x in range(-spread, spread + 1) if x != 0]
-            yield [rng.choice(pool) for _ in r2]
-        if len(r2) <= SWEEP_DIM_CAP:
-            for mask in range(1, 1 << len(r2)):
-                yield [(mask >> k) & 1 for k in range(len(r2))]
-
-    for coeffs in candidates():
+    rng = random.Random(zlib.crc32(f"{t}|{weights}".encode()))
+    for trial in range(trials):
+        spread = 3 if trial < trials // 2 else 9
+        pool = [x for x in range(-spread, spread + 1) if x != 0]
+        coeffs = [rng.choice(pool) for _ in r2]
         a = [[0] * len(r2) for _ in range(len(rhs))]
         for c, entries in zip(coeffs, ad_e):
-            if c:
-                for i, j, v in entries:
-                    a[i][j] += c * v
+            for i, j, v in entries:
+                a[i][j] += c * v
         y = solve(a, rhs)
         if y is not None:
             return True, certify(coeffs, y)
-    return False, None
+        if len(independent_prefix(a)) == len(r2):
+            return False, None
+    raise ValueError(
+        f"oracle undecided on {t} {weights}: no E with an open G_0-orbit in {trials} trials; allow more trials"
+    )

@@ -97,6 +97,15 @@ def test_oracle_trials_below_one_is_usage_error(capsys):
         assert "--trials must be at least 1" in capsys.readouterr().err
 
 
+def test_undecided_oracle_query_is_usage_error(capsys):
+    assert main(["orbits", "so(5,4)", "--oracle", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: oracle undecided on B4 [2, 0, 0, 0]: no E with an open G_0-orbit in 1 trials; allow more trials\n"
+    )
+
+
 def test_orbits_contains_zero_orbit(capsys):
     assert main(["orbits", "e7(-5)", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -146,6 +155,20 @@ def test_pairs_h_without_g_is_usage_error(capsys):
     assert main(["pairs", "--h", "sp(2,1)"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--h needs --g" in captured.err
+
+
+def test_empty_pairs_symbol_is_parsed_not_dropped(capsys):
+    for argv in (["--g", "sl(4,R)", "--h", ""], ["--g", ""], ["--g", "", "--h", "sp(2,1)"]):
+        assert main(["pairs", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: cannot parse algebra symbol ''\n")
+    assert main(["pairs", "--h", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--h needs --g" in captured.err
+
+
+def test_verify_labels_with_all_is_usage_error():
+    code, out, err = run_cli(["verify", "sl(2,R)", "--all"])
+    assert (code, out, err) == (2, "", "error: pass labels or --all, not both\n")
 
 
 def test_unwritable_out_is_usage_error(tmp_path):

@@ -11,7 +11,7 @@ from chevalley_reference import ReferenceModel
 
 import orbitspan
 
-from orbitspan.nilorbits import enumerate_complex_characteristics
+from orbitspan.nilorbits import Partition, diagram_of_partition, enumerate_complex_characteristics
 from orbitspan.rootcore import SimpleType, WeightedDiagram, build_root_system
 from orbitspan.sl2oracle import build_chevalley, is_characteristic
 
@@ -240,11 +240,14 @@ def test_every_embedded_e_table_row_is_certified(rank):
 
 @pytest.mark.parametrize(
     "fam,rank",
-    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("A", 5), ("B", 4), ("C", 4), ("F", 4), ("G", 2)],
+    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("A", 5), ("B", 4), ("C", 4), ("F", 4), ("G", 2), ("D", 5), ("A", 6)]
+    + [("E", 6), ("E", 7)],
 )
 def test_oracle_agrees_with_enumeration(fam, rank):
+    """Every nonzero {0,1,2}-vector gets an exact verdict at the default trials
+    (none raises undecided), and the accepted ones are the enumerated weights."""
     t = SimpleType(fam, rank)
-    model = build_chevalley(t)
+    model = build_chevalley(t, max_rank=8)
     expected = {tuple(int(x) for x in od.diagram.weights) for od in enumerate_complex_characteristics(t)}
     accepted = set()
     for bits in product((0, 1, 2), repeat=rank):
@@ -253,3 +256,15 @@ def test_oracle_agrees_with_enumeration(fam, rank):
         if ok:
             accepted.add(bits)
     assert accepted == expected
+
+
+def test_trials_without_an_open_orbit_are_undecided():
+    """One draw at B4 [3,1^6] fails its solve at an E of lower rank: that proves
+    nothing, so the oracle raises instead of rejecting; two draws accept."""
+    t = SimpleType("B", 4)
+    model = build_chevalley(t)
+    d = diagram_of_partition(t, Partition((3, 1, 1, 1, 1, 1, 1))).diagram
+    with pytest.raises(ValueError, match=r"undecided on B4 \[2, 0, 0, 0\].* in 1 trials; allow more trials"):
+        is_characteristic(model, d, trials=1)
+    ok, witness = is_characteristic(model, d, trials=2)
+    assert ok and witness is not None
