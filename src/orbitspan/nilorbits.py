@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import exceptional_data
 from .rootcore import SimpleType, WeightedDiagram
@@ -81,18 +81,6 @@ class OrbitDiagram:
                 raise ValueError(f"orbit diagram weights must be 0, 1 or 2; got {w}")
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n with parts <= max_part, lexicographically descending."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def defining_size(t: SimpleType) -> int:
     """Size of the partitions classifying nilpotent orbits for a classical type."""
     if t.family == "A":
@@ -104,15 +92,34 @@ def defining_size(t: SimpleType) -> int:
     raise ValueError(f"{t} is not classical; use exceptional_table")
 
 
-def _parity_ok(parts: tuple[int, ...], family: str) -> bool:
-    if family == "A":
-        return True
-    for part, mult in [(p, len(list(g))) for p, g in groupby(parts)]:
-        if family in ("B", "D") and part % 2 == 0 and mult % 2 == 1:
-            return False
-        if family == "C" and part % 2 == 1 and mult % 2 == 1:
-            return False
-    return True
+# Part parities whose multiplicity must be even: each classical type's
+# condition, and "even", under which every multiplicity is even.
+_EVEN_MULTIPLICITY = {"A": (), "B": (0,), "C": (1,), "D": (0,), "even": (0, 1)}
+
+
+def partitions(n: int, rule: str, budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n, lexicographically descending, in which the parts of
+    each parity the rule lists occur an even number of times and, given a
+    budget, the parts m sum floor(m/2) to at most the budget.  Built block by
+    block: the largest part, its multiplicity from the largest allowed down,
+    then the rest below that part, with the 1s, which cost no budget, last."""
+    even = _EVEN_MULTIPLICITY[rule]
+    head: list[int] = []
+
+    def blocks(rest: int, top: int, left: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield tuple(head)
+        for part in range(min(rest, top, 2 * left + 1), 1, -1):
+            most = min(rest // part, left // (part // 2))
+            step = 2 if part % 2 in even else 1
+            for mult in range(most - most % step, 0, -step):
+                head.extend([part] * mult)
+                yield from blocks(rest - part * mult, part - 1, left - part // 2 * mult)
+                del head[-mult:]
+        if rest and (1 not in even or rest % 2 == 0):
+            yield (*head, *[1] * rest)
+
+    return blocks(n, n, n if budget is None else budget)
 
 
 def classical_partitions(t: SimpleType) -> list[Partition]:
@@ -120,10 +127,7 @@ def classical_partitions(t: SimpleType) -> list[Partition]:
     lexicographically descending order (each exactly once, very even untagged)."""
     if t.family not in CLASSICAL:
         raise ValueError(f"{t} is exceptional; use exceptional_table")
-    n = defining_size(t)
-    return [
-        Partition(p) for p in _partitions_of(n, n) if _parity_ok(p, t.family)
-    ]
+    return [Partition(p) for p in partitions(defining_size(t), t.family)]
 
 
 def is_very_even(t: SimpleType, p: Partition) -> bool:
@@ -152,7 +156,7 @@ def diagram_of_partition(
         raise ValueError(f"{t} is exceptional; use exceptional_table")
     if p.size != defining_size(t):
         raise ValueError(f"partition {p} has size {p.size}, expected {defining_size(t)} for {t}")
-    if not _parity_ok(p.parts, t.family):
+    if any(part % 2 in _EVEN_MULTIPLICITY[t.family] and mult % 2 for part, mult in p.multiplicities()):
         raise ValueError(f"partition {p} violates the parity constraint for type {t.family}")
     very_even = is_very_even(t, p)
     if very_even and tag not in ("I", "II"):
@@ -194,20 +198,34 @@ def exceptional_table(t: SimpleType) -> list[OrbitDiagram]:
     ]
 
 
+# type -> partition -> its orbit diagrams (two for a very even partition), so
+# each is built once per process whichever candidate lists ask for it
+_BUILT: dict[SimpleType, dict[tuple[int, ...], tuple[OrbitDiagram, ...]]] = {}
+
+
+def orbit_diagrams(t: SimpleType, rule: Optional[str] = None, budget: Optional[int] = None) -> tuple[OrbitDiagram, ...]:
+    """The diagrams of a classical type's orbits whose partitions pass
+    `partitions(n, rule, budget)`; the rule defaults to the type's parity
+    condition, and a stricter rule must imply it."""
+    built = _BUILT.setdefault(t, {})
+    out: list[OrbitDiagram] = []
+    for parts in partitions(defining_size(t), rule or t.family, budget):
+        ods = built.get(parts)
+        if ods is None:
+            p = Partition(parts)
+            tags = ("I", "II") if is_very_even(t, p) else (None,)
+            ods = built[parts] = tuple(diagram_of_partition(t, p, tag) for tag in tags)
+        out.extend(ods)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def enumerate_complex_characteristics(t: SimpleType) -> tuple[OrbitDiagram, ...]:
     """All weighted Dynkin diagrams of complex nilpotent orbits for the type,
     in the canonical order used for deterministic greedy bases."""
     if t.family in EXCEPTIONAL:
         return tuple(exceptional_table(t))
-    out = []
-    for p in classical_partitions(t):
-        if is_very_even(t, p):
-            out.append(diagram_of_partition(t, p, "I"))
-            out.append(diagram_of_partition(t, p, "II"))
-        else:
-            out.append(diagram_of_partition(t, p))
-    return tuple(out)
+    return orbit_diagrams(t)
 
 
 def orbit_diagram_json(od: OrbitDiagram) -> dict:

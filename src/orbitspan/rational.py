@@ -18,14 +18,19 @@ def _integer_row(row: Sequence[Q]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, list[int]]]]:
+def _echelon(
+    rows: Iterable[Sequence[int]], stop_at: int | None = None
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
     """The one elimination (fraction-free, after Bareiss): each row is reduced
     against the kept rows in pick order (v = a*v - c*row) and kept, divided by
     its gcd, iff a nonzero entry, its pivot, is left.  A kept row is zero at
-    earlier pivots.  Returns the kept indices and the (pivot, row) pairs."""
+    earlier pivots.  Stops at full rank, or once `stop_at` rows are kept.
+    Returns the kept indices and the (pivot, row) pairs."""
     echelon: list[tuple[int, list[int]]] = []
     kept = []
     for k, v in enumerate(rows):
+        if len(echelon) == stop_at:
+            break
         for p, row in echelon:
             c = v[p]
             if c:
@@ -94,9 +99,10 @@ def solve(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
     return x
 
 
-def independent_prefix(vectors: Iterable[Sequence[int]]) -> list[int]:
-    """Indices of the integer vectors independent of all earlier ones."""
-    return _echelon(vectors)[0]
+def independent_prefix(vectors: Iterable[Sequence[int]], stop_at: int | None = None) -> list[int]:
+    """Indices of the integer vectors independent of all earlier ones; with
+    `stop_at`, only the first `stop_at` of them."""
+    return _echelon(vectors, stop_at)[0]
 
 
 @dataclass(frozen=True)

@@ -210,17 +210,13 @@ def _dominantize(psi: list, a) -> list:
 
 @lru_cache(maxsize=None)
 def opposition_involution(t: SimpleType) -> DiagramInvolution:
-    """The node permutation induced by -w0: computed by carrying each negated
-    fundamental weight (in `int`s) to the dominant chamber by simple reflections."""
+    """The node permutation sigma induced by -w0, read from one dominantization
+    (in `int`s, so the Cartan columns are listed once): the regular weight
+    lambda = sum (i+1) omega_i has -w0 lambda = sum (i+1) omega_sigma(i) as the
+    dominant vector in the orbit of -lambda."""
     l = t.rank
-    a = cartan_matrix(t)
-    perm = []
-    for i in range(l):
-        psi = [0] * l
-        psi[i] = -1
-        image = _dominantize(psi, a)
-        ones = [j for j in range(l) if image[j] != 0]
-        if len(ones) != 1 or image[ones[0]] != 1:
-            raise AssertionError("dominantized negated fundamental weight is not fundamental")
-        perm.append(ones[0])
-    return DiagramInvolution(t, tuple(perm))
+    image = _dominantize([-(i + 1) for i in range(l)], cartan_matrix(t))
+    node = {c: j for j, c in enumerate(image)}
+    if sorted(node) != list(range(1, l + 1)):
+        raise AssertionError("the dominantized negated regular weight is not a permuted regular weight")
+    return DiagramInvolution(t, tuple(node[i + 1] for i in range(l)))

@@ -15,6 +15,9 @@ class LabelError(ValueError):
     """Rejected real-form label (compact, non-simple, alias or out of range)."""
 
 
+MAX_RANK = 1000  # higher ranks are rejected before black nodes and arrows are drawn
+
+
 # exceptional kind -> (complex type, signatures); the first signature is the
 # split form.  The complex algebra viewed as real has kind "<kind>C", e.g. e6C.
 _EXCEPTIONAL = {
@@ -128,7 +131,9 @@ class SatakeDiagram:
         }
 
 
-def _diagram(family: str, rank: int, black=(), arrows=()) -> SatakeDiagram:
+def _diagram(label: RealFormLabel, family: str, rank: int, black=(), arrows=()) -> SatakeDiagram:
+    if rank > MAX_RANK:
+        raise LabelError(f"{label}: rank {rank} is over the cap of {MAX_RANK}")
     return SatakeDiagram(
         SimpleType(family, rank), frozenset(black), tuple(sorted((min(i, j), max(i, j)) for i, j in arrows))
     )
@@ -153,21 +158,21 @@ def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
     if k in ("sl", "slC"):
         if p[0] < 2:
             fail("needs n >= 2")
-        return _diagram("A", p[0] - 1)
+        return _diagram(label, "A", p[0] - 1)
     if k == "su*":
         n = p[0]
         if n % 2 != 0 or n < 4:
             fail("needs even argument 2k with k >= 2 (su*(2) is compact su(2))")
-        return _diagram("A", n - 1, range(0, n - 1, 2))
+        return _diagram(label, "A", n - 1, range(0, n - 1, 2))
     if k == "su":
         l, q = sum(p) - 1, p[1]
-        return _diagram("A", l, range(q, l - q), [(i, l - 1 - i) for i in range(q) if i != l - 1 - i])
+        return _diagram(label, "A", l, range(q, l - q), ((i, l - 1 - i) for i in range(q) if i != l - 1 - i))
     if k == "so":
         q, n = p[1], sum(p)
         if n % 2 == 1:
             if n < 5:
                 fail("so(2,1) is an alias of sl(2,R); B_1 is excluded")
-            return _diagram("B", n // 2, range(q, n // 2))
+            return _diagram(label, "B", n // 2, range(q, n // 2))
         if n == 2:
             fail("so(1,1) is abelian, not simple")
         if n == 4:
@@ -177,17 +182,17 @@ def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
             fail(f"D_3 alias; use {aliases[p]}")
         l = n // 2
         if p[0] == q:
-            return _diagram("D", l)
+            return _diagram(label, "D", l)
         if p[0] == q + 2:
-            return _diagram("D", l, (), [(l - 2, l - 1)])
-        return _diagram("D", l, range(q, l))
+            return _diagram(label, "D", l, (), [(l - 2, l - 1)])
+        return _diagram(label, "D", l, range(q, l))
     if k == "spR":
         if p[0] < 1:
             fail("needs l >= 1")
-        return _diagram("C" if p[0] > 1 else "A", p[0])  # sp(1,R) = sl(2,R); kept as a label
+        return _diagram(label, "C" if p[0] > 1 else "A", p[0])  # sp(1,R) = sl(2,R); kept as a label
     if k == "sp":
         l = sum(p)
-        return _diagram("C", l, set(range(l)) - {2 * i + 1 for i in range(p[1])})
+        return _diagram(label, "C", l, (i for i in range(l) if i % 2 == 0 or i >= 2 * p[1]))
     if k == "so*":
         n = p[0]
         if n % 2 != 0 or n < 6:
@@ -196,26 +201,26 @@ def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
             fail("so*(6) is an alias of su(3,1); D_3 is excluded")
         l = n // 2
         if l % 2:  # so*(4m+2): black odd chain nodes, arrow between the forks
-            return _diagram("D", l, range(0, l - 2, 2), [(l - 2, l - 1)])
-        return _diagram("D", l, range(0, l, 2))
+            return _diagram(label, "D", l, range(0, l - 2, 2), [(l - 2, l - 1)])
+        return _diagram(label, "D", l, range(0, l, 2))
     if k in _EXCEPTIONAL:
         t, signatures = _EXCEPTIONAL[k]
         if p[0] not in signatures:
             fail(f"signature must be one of {signatures}")
-        return _diagram(t.family, t.rank, *_EXCEPTIONAL_SATAKE.get((k, p[0]), ()))
+        return _diagram(label, t.family, t.rank, *_EXCEPTIONAL_SATAKE.get((k, p[0]), ()))
     if k == "soC":
         n = p[0]
         if n < 5 or n in (6,):
             hints = {3: "slC(2)", 4: "not simple", 6: "slC(4)"}
             fail(f"so({n},C) is excluded ({hints.get(n, 'rank too small')})")
-        return _diagram("B" if n % 2 else "D", n // 2)
+        return _diagram(label, "B" if n % 2 else "D", n // 2)
     if k == "spC":
         if p[0] < 2:
             fail("needs l >= 2 (sp(1,C) is slC(2))")
-        return _diagram("C", p[0])
+        return _diagram(label, "C", p[0])
     if k[:-1] in _EXCEPTIONAL and label.is_complex:
         t = _EXCEPTIONAL[k[:-1]][0]
-        return _diagram(t.family, t.rank)
+        return _diagram(label, t.family, t.rank)
     raise LabelError(f"unknown label kind {k!r}")
 
 
@@ -265,8 +270,8 @@ def catalog_labels(rank_bound: int = 12) -> list[RealFormLabel]:
     whatever the bound (so the bound is not a rank bound for them), and every
     classical label of underlying rank <= rank_bound.  The classical labels are
     the one- and two-parameter candidates that satake_catalog accepts."""
-    if rank_bound < 2:
-        raise ValueError("rank bound must be >= 2")
+    if not 2 <= rank_bound <= MAX_RANK:
+        raise ValueError(f"rank bound must be between 2 and {MAX_RANK}")
     out = [RealFormLabel(k, (s,)) for k, (_, signatures) in _EXCEPTIONAL.items() for s in signatures]
     out += [RealFormLabel(k + "C") for k in _EXCEPTIONAL]
     sizes = range(2 * rank_bound + 2)

@@ -268,6 +268,15 @@ def test_bound_below_two_is_usage_error():
     assert "rank bound" in err
 
 
+def test_inputs_over_the_rank_cap_are_usage_errors():
+    code, out, err = run_cli(["verify", "su(100000000,1)"])
+    assert (code, out) == (2, "")
+    assert "rank 100000000 is over the cap" in err
+    code, out, err = run_cli(["verify", "--all", "--bound", "999999999999"])
+    assert (code, out) == (2, "")
+    assert "rank bound must be between 2 and" in err
+
+
 def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):
     real = cli.verify_theorem
     monkeypatch.setattr(cli, "verify_theorem", lambda label: replace(real(label), theorem_holds=False))

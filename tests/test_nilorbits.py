@@ -17,6 +17,7 @@ from orbitspan.nilorbits import (
     enumerate_complex_characteristics,
     exceptional_table,
     is_very_even,
+    partitions,
 )
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 
@@ -62,6 +63,38 @@ def test_partition_counts_against_brute_force():
     ]:
         expected = [p for p in brute_partitions(n) if parity_filter(p, t.family)]
         assert [p.parts for p in classical_partitions(t)] == expected
+
+
+def test_generator_equals_brute_force_with_parity_to_rank_12():
+    brute = {}
+    for family, ranks, size in [
+        ("A", range(1, 13), lambda l: l + 1),
+        ("B", range(2, 13), lambda l: 2 * l + 1),
+        ("C", range(2, 13), lambda l: 2 * l),
+        ("D", range(4, 13), lambda l: 2 * l),
+    ]:
+        for l in ranks:
+            n = size(l)
+            if n not in brute:
+                brute[n] = brute_partitions(n)
+            expected = [p for p in brute[n] if parity_filter(p, family)]
+            assert list(partitions(n, family)) == expected, (family, l)
+
+
+def half_parts(parts):
+    return sum(part // 2 for part in parts)
+
+
+def test_generator_budget_and_even_rule_against_brute_force():
+    for n in range(0, 17):
+        every = brute_partitions(n)
+        even = [p for p in every if all(p.count(m) % 2 == 0 for m in set(p))]
+        assert list(partitions(n, "even")) == even, n
+        for budget in range(n // 2 + 1):
+            for rule in ("A", "B", "C", "D"):
+                expected = [p for p in every if parity_filter(p, rule) and half_parts(p) <= budget]
+                assert list(partitions(n, rule, budget)) == expected, (n, rule, budget)
+            assert list(partitions(n, "even", budget)) == [p for p in even if half_parts(p) <= budget]
 
 
 def test_c2_partition_set():

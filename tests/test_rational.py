@@ -243,3 +243,9 @@ def test_independent_prefix_examples():
     assert independent_prefix([]) == []
     assert independent_prefix([[0, 0], [2, 4], [1, 2], [0, 3], [5, 5]]) == [1, 3]
     assert independent_prefix([[0, 1, 1], [0, 2, -1], [1, 0, 0], [3, 3, 3]]) == [0, 1, 2]
+
+
+@given(integer_vector_lists(), st.integers(min_value=0, max_value=6))
+def test_independent_prefix_stop_at_keeps_the_first_picks(case, stop_at):
+    _, vectors = case
+    assert independent_prefix(vectors, stop_at) == independent_prefix(vectors)[:stop_at]

@@ -9,6 +9,7 @@ from orbitspan.rational import coordinate_kernel
 from orbitspan.rootcore import (
     SimpleType,
     WeightedDiagram,
+    _dominantize,
     build_root_system,
     cartan_matrix,
     opposition_involution,
@@ -125,6 +126,24 @@ def closed_form_opposition(t):
 
 def test_opposition_involution_closed_form_to_rank_40():
     for t in all_types(40):
+        assert opposition_involution(t).permutation == closed_form_opposition(t), t
+
+
+def test_opposition_agrees_with_one_dominantization_per_fundamental_weight():
+    # the permutation as first computed: -omega_i carried to the dominant omega_sigma(i)
+    for t in all_types(24):
+        a = cartan_matrix(t)
+        per_weight = []
+        for i in range(t.rank):
+            image = _dominantize([-int(j == i) for j in range(t.rank)], a)
+            assert sorted(image) == [0] * (t.rank - 1) + [1], t
+            per_weight.append(image.index(1))
+        assert opposition_involution(t).permutation == tuple(per_weight), t
+
+
+def test_opposition_involution_closed_form_at_large_rank():
+    for t in [SimpleType("A", 200), SimpleType("A", 401), SimpleType("B", 151), SimpleType("C", 151),
+              SimpleType("D", 150), SimpleType("D", 151)]:
         assert opposition_involution(t).permutation == closed_form_opposition(t), t
 
 

@@ -11,6 +11,7 @@ from rref_reference import vec
 
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import (
+    MAX_RANK,
     LabelError,
     RealFormLabel,
     b_subspace,
@@ -62,6 +63,22 @@ def test_one_parameter_kinds_reject_a_second_parameter():
     for text in ["su*(4,2)", "su*(4,R)", "so*(8,3)", "slC(4,R)", "soC(7,2)", "spC(3,1)", "e6(2,1)", "sl(4,3)"]:
         with pytest.raises(LabelError):
             parse_label(text)
+
+
+def test_rank_over_the_cap_is_a_label_error_before_any_diagram_is_drawn():
+    assert MAX_RANK == 1000
+    assert underlying_type(parse_label("sl(1001,R)")).rank == MAX_RANK
+    for text in ["su(100000000,1)", "sl(1002,R)", "su*(2002)", "su(1000,2)", "so(2000,3)", "sp(1001,R)",
+                 "sp(100000000,1)", "so*(2002)", "slC(1002)", "soC(2003)", "spC(1001)"]:
+        with pytest.raises(LabelError, match=f"over the cap of {MAX_RANK}"):
+            parse_label(text)
+
+
+def test_catalog_bound_over_the_cap_is_rejected():
+    with pytest.raises(ValueError, match="between 2 and"):
+        catalog_labels(999999999999)
+    with pytest.raises(ValueError, match="between 2 and"):
+        catalog_labels(MAX_RANK + 1)
 
 
 def test_integer_over_the_digit_limit_is_a_label_error():

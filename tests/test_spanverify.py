@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
 from rref_reference import span_of, vec
-from orbitspan import spanverify
+from orbitspan import nilorbits, spanverify
 from orbitspan.nilorbits import ClassicalLabel, OrbitDiagram, Partition, enumerate_complex_characteristics
 from orbitspan.rootcore import SimpleType, WeightedDiagram
-from orbitspan.satake import catalog_labels, parse_label, satake_catalog, underlying_type
+from orbitspan.satake import b_subspace, catalog_labels, parse_label, satake_catalog, underlying_type
 from orbitspan.spanverify import (
     VerificationReport,
+    candidate_orbits,
     check_easy_inclusion,
     filter_matching,
     greedy_basis_of,
@@ -123,6 +124,56 @@ def test_theorem_fails_for_a_full_count_basis_outside_b(monkeypatch):
     assert (report.dim_b, report.dim_span) == (honest.dim_b, honest.dim_span) == (2, 2)
     assert report.theorem_holds is False
     assert report.verified is False
+
+
+def test_greedy_exit_at_dim_b_keeps_a_failing_report_whole(monkeypatch):
+    # (0, 2, 0) is not fixed by -w0 on A3, so the easy inclusion fails and
+    # the greedy must run to the end: three picks against dim b = 2.
+    label = parse_label("sl(4,R)")
+    regular, *_, zero = h_n_a_plus(label)
+    t = SimpleType("A", 3)
+    middle = OrbitDiagram(ClassicalLabel(Partition((2, 2))), WeightedDiagram(t, (0, 2, 0)))
+    side = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(t, (2, 0, 0)))
+    matching = [regular, middle, zero, side]
+    monkeypatch.setattr(spanverify, "h_n_a_plus", lambda _: matching)
+    report = verify_theorem(label)
+    assert report.easy_inclusion_holds is False
+    full_labels, full_weights = greedy_basis_of(matching)
+    assert report.greedy_basis == tuple(full_labels) == (regular.label, middle.label, side.label)
+    assert (report.dim_b, report.dim_span) == (2, len(full_weights)) == (2, 3)
+    assert report.theorem_holds is False
+
+
+def test_greedy_exit_at_dim_b_picks_what_the_full_greedy_picks():
+    for label in catalog_labels(8):
+        matching = h_n_a_plus(label)
+        assert check_easy_inclusion(underlying_type(label), matching), str(label)
+        assert greedy_basis_of(matching, b_subspace(label).dim) == greedy_basis_of(matching), str(label)
+
+
+def test_h_n_a_plus_equals_the_filtered_full_enumeration():
+    for label in catalog_labels(12):
+        full = enumerate_complex_characteristics(underlying_type(label))
+        assert h_n_a_plus(label) == filter_matching(full, satake_catalog(label)), str(label)
+
+
+def test_pruned_candidates_are_exactly_the_matching_orbits():
+    pruned = [label for label in catalog_labels(12) if label.kind in ("su", "so", "sp", "su*")]
+    assert len(pruned) == 232
+    for label in pruned:
+        assert list(candidate_orbits(label)) == h_n_a_plus(label), str(label)
+
+
+def test_large_rank_one_forms_skip_the_full_enumeration(monkeypatch):
+    def refuse(t):
+        raise AssertionError(f"full enumeration of {t}")
+
+    monkeypatch.setattr(spanverify, "enumerate_complex_characteristics", refuse)
+    monkeypatch.setattr(nilorbits, "enumerate_complex_characteristics", refuse)
+    for text, matched in [("su(200,1)", 3), ("so(301,1)", 2), ("sp(150,1)", 3)]:
+        report = verify_theorem(parse_label(text))
+        assert report.verified, text
+        assert (report.dim_b, len(report.matching_orbits)) == (1, matched), text
 
 
 def test_report_invariants():
