@@ -137,7 +137,7 @@ def cmd_orbits(args) -> int:
     else:
         width = max(len(str(od.label)) for od in matching)
         lines = []
-        for idx, od in enumerate(matching):
+        for od in matching:
             line = f"{str(od.label):{width}s}  " + " ".join(str(w) for w in od.diagram.weights)
             if witnesses is not None:
                 line += "  [certified]"

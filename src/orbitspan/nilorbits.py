@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterator, Optional
 
 from . import exceptional_data
@@ -202,14 +202,23 @@ def exceptional_table(t: SimpleType) -> list[OrbitDiagram]:
 # each is built once per process whichever candidate lists ask for it
 _BUILT: dict[SimpleType, dict[tuple[int, ...], tuple[OrbitDiagram, ...]]] = {}
 
+# Most candidates times rank that one list may hold: time and memory grow with
+# that product.  sl(46,R), 105,558 partitions at rank 45, is the largest sl(n,R).
+CANDIDATE_CAP = 5_000_000
+
 
 def orbit_diagrams(t: SimpleType, rule: Optional[str] = None, budget: Optional[int] = None) -> tuple[OrbitDiagram, ...]:
     """The diagrams of a classical type's orbits whose partitions pass
     `partitions(n, rule, budget)`; the rule defaults to the type's parity
-    condition, and a stricter rule must imply it."""
+    condition, and a stricter rule must imply it.  Raises ValueError, before
+    any diagram is built, when more than CANDIDATE_CAP // rank partitions pass."""
+    most = CANDIDATE_CAP // t.rank
+    found = list(islice(partitions(defining_size(t), rule or t.family, budget), most + 1))
+    if len(found) > most:
+        raise ValueError(f"{t} has over {most} candidate orbits; candidates x rank is capped at {CANDIDATE_CAP:,}")
     built = _BUILT.setdefault(t, {})
     out: list[OrbitDiagram] = []
-    for parts in partitions(defining_size(t), rule or t.family, budget):
+    for parts in found:
         ods = built.get(parts)
         if ods is None:
             p = Partition(parts)

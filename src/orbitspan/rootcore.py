@@ -50,8 +50,6 @@ class SimpleType:
         elif self.family == "G":
             if rank != 2:
                 raise ValueError("G family has rank 2 only")
-        if rank < 1:
-            raise ValueError("rank must be positive")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

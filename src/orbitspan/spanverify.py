@@ -13,7 +13,6 @@ from .nilorbits import (
     OrbitDiagram,
     OrbitLabel,
     Partition,
-    diagram_of_partition,
     enumerate_complex_characteristics,
     orbit_diagrams,
 )
@@ -125,7 +124,7 @@ def verify_theorem(label: RealFormLabel) -> VerificationReport:
         theorem_holds=b.has_basis(weights),
         greedy_basis=tuple(basis_labels),
         easy_inclusion_holds=inclusion,
-        paper_basis_verified=verify_paper_basis(label),
+        paper_basis_verified=verify_paper_basis(label, matching),
     )
 
 
@@ -172,7 +171,7 @@ def paper_basis(label: RealFormLabel) -> list[OrbitLabel]:
         return [_cls(_one_plus([2 * s + 1], 2 * l - 2 * s)) for s in range(1, q + 1)]
     if k == "spR":
         l = p[0]
-        out = [_cls([2] * l if l > 1 else [2])]
+        out = [_cls([2] * l)]
         out.extend(_cls([2 * s + 2] + [2] * (l - s - 1)) for s in range(1, l))
         return out
     if k == "sp":
@@ -222,24 +221,11 @@ def paper_basis(label: RealFormLabel) -> list[OrbitLabel]:
     return [ExceptionalLabel(name) for name in names]
 
 
-def _diagram_for(t: SimpleType, lbl: OrbitLabel) -> OrbitDiagram:
-    if isinstance(lbl, ClassicalLabel):
-        return diagram_of_partition(t, lbl.partition, lbl.very_even_tag)
-    for od in enumerate_complex_characteristics(t):
-        if od.label == lbl:
-            return od
-    raise LookupError(f"{lbl} not found in the diagram table of {t}")
-
-
-def verify_paper_basis(label: RealFormLabel) -> bool:
-    """Published basis diagrams must match the Satake diagram, be even (all
-    weights 0 or 2) and be a basis of the b-subspace."""
-    t = underlying_type(label)
-    s = satake_catalog(label)
-    labels = paper_basis(label)
-    diagrams = [_diagram_for(t, lbl) for lbl in labels]
-    if not all(matches(od.diagram, s) for od in diagrams):
+def verify_paper_basis(label: RealFormLabel, matching: Iterable[OrbitDiagram]) -> bool:
+    """Published basis labels must name matching orbits, whose diagrams must
+    be even (all weights 0 or 2) and a basis of the b-subspace."""
+    weights_of = {od.label: od.diagram.weights for od in matching}
+    weights = [weights_of.get(lbl) for lbl in paper_basis(label)]
+    if None in weights or not all(w in (0, 2) for ws in weights for w in ws):
         return False
-    if not all(w in (0, 2) for od in diagrams for w in od.diagram.weights):
-        return False
-    return b_subspace(label).has_basis([od.diagram.weights for od in diagrams])
+    return b_subspace(label).has_basis(weights)

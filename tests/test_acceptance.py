@@ -21,7 +21,6 @@ from orbitspan.spanverify import (
     paper_basis,
     verify_paper_basis,
     verify_theorem,
-    _diagram_for,
 )
 
 from published_b import expected_b_form
@@ -74,16 +73,13 @@ def test_criterion_3_golden_b_subspaces():
 
 def test_criterion_4_golden_bases():
     labels = catalog_labels(12)
-    failures = [str(l) for l in labels if verify_paper_basis(l) is not True]
+    failures = [str(l) for l in labels if verify_paper_basis(l, h_n_a_plus(l)) is not True]
     named_checks = []
 
     def basis_weights(label_text):
         label = parse_label(label_text)
-        t = underlying_type(label)
-        return {
-            str(lbl): tuple(int(x) for x in _diagram_for(t, lbl).diagram.weights)
-            for lbl in paper_basis(label)
-        }
+        weights = {od.label: od.diagram.weights for od in h_n_a_plus(label)}
+        return {str(lbl): tuple(int(x) for x in weights[lbl]) for lbl in paper_basis(label)}
 
     g2 = verify_theorem(parse_label("g2(2)"))
     named_checks.append(g2.dim_b == 2 and g2.dim_span == 2)

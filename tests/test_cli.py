@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, formats and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -275,6 +276,28 @@ def test_inputs_over_the_rank_cap_are_usage_errors():
     code, out, err = run_cli(["verify", "--all", "--bound", "999999999999"])
     assert (code, out) == (2, "")
     assert "rank bound must be between 2 and" in err
+
+
+def test_candidate_lists_over_the_cap_are_usage_errors(capsys):
+    over = [["sl(200,R)"], ["so(500,500)"], ["so*(2000)"], ["spC(1000)"], ["su(480,20)"], ["--all", "--bound", "100"]]
+    for argv in over:
+        assert main(["verify", *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "candidate orbits; candidates x rank is capped at" in err, argv
+
+
+# sha256 of `verify --all --bound 12 --verbose` stdout in two formats, the
+# reference behaviour that refactors must keep byte for byte
+REFERENCE_DIGESTS = {
+    "json": "3bceb3d7c63e8930cce0bda6b3f154950f1f0d31d28133a188572cec7d894056",
+    "text": "e72764d173a0a3fff085db99739a5b5013d2eaaf14a80f1f7bb2642a9a986968",
+}
+
+
+def test_bound_12_reference_bytes(capsys):
+    for fmt, digest in REFERENCE_DIGESTS.items():
+        assert main(["verify", "--all", "--bound", "12", "--format", fmt, "--verbose"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
 
 def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):

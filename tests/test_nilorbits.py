@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbitspan import nilorbits
 from orbitspan.nilorbits import (
+    CANDIDATE_CAP,
     ClassicalLabel,
     ExceptionalLabel,
     OrbitDiagram,
@@ -17,6 +19,7 @@ from orbitspan.nilorbits import (
     enumerate_complex_characteristics,
     exceptional_table,
     is_very_even,
+    orbit_diagrams,
     partitions,
 )
 from orbitspan.rootcore import SimpleType, WeightedDiagram
@@ -105,6 +108,21 @@ def test_c2_partition_set():
 def test_partitions_rejected_for_exceptional():
     with pytest.raises(ValueError):
         classical_partitions(SimpleType("G", 2))
+
+
+def test_candidate_cap_admits_sl46():
+    count = sum(1 for _ in partitions(46, "A"))
+    assert count == 105_558
+    assert count * 45 <= CANDIDATE_CAP
+
+
+def test_candidate_list_over_the_cap_builds_no_diagram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a diagram was built")
+
+    monkeypatch.setattr(nilorbits, "diagram_of_partition", refuse)
+    with pytest.raises(ValueError, match=f"A199 has over {CANDIDATE_CAP // 199} candidate orbits"):
+        orbit_diagrams(SimpleType("A", 199))
 
 
 @given(st.integers(min_value=1, max_value=18))

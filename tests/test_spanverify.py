@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
 from rref_reference import span_of, vec
 from orbitspan import nilorbits, spanverify
+from orbitspan.cli import main
 from orbitspan.nilorbits import ClassicalLabel, OrbitDiagram, Partition, enumerate_complex_characteristics
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import b_subspace, catalog_labels, parse_label, satake_catalog, underlying_type
@@ -198,12 +200,22 @@ def test_paper_basis_examples():
 
 def test_verify_paper_basis_examples():
     for text in ["f4(4)", "e6(-14)", "g2(2)", "so(5,4)", "sp(3,3)", "su(4,4)", "so*(12)"]:
-        assert verify_paper_basis(parse_label(text)), text
+        label = parse_label(text)
+        assert verify_paper_basis(label, h_n_a_plus(label)), text
 
 
 def test_paper_bases_verified_for_catalog_to_rank_8():
     for label in catalog_labels(8):
-        assert verify_paper_basis(label), str(label)
+        assert verify_paper_basis(label, h_n_a_plus(label)), str(label)
+
+
+@pytest.mark.parametrize("text, parts", [("sl(4,R)", (5,)), ("su(3,1)", (2, 2))])
+def test_published_label_outside_the_matching_list_fails(monkeypatch, capsys, text, parts):
+    # [5] is no orbit of A3; [2^2] is one, but its diagram misses su(3,1)'s Satake diagram
+    monkeypatch.setattr(spanverify, "paper_basis", lambda label: [ClassicalLabel(Partition(parts))])
+    assert verify_theorem(parse_label(text)).paper_basis_verified is False
+    assert main(["verify", text]) == 1
+    assert capsys.readouterr().out.rstrip("\n").endswith("FAILED")
 
 
 def test_filter_ignores_appended_nonmatching_diagrams():
