@@ -6,7 +6,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from .nilorbits import orbit_diagram_json
 from .pairs import lookup_pair, pairs_for, proper_sl2_pairs, table_csv
@@ -49,15 +50,23 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[Callable[[str], object]]:
+    """A writer to the --out file, opened at once, or else to sys.stdout as
+    it stands at each write."""
+    if not out:
+        yield lambda text: sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+
+
 def _write(out: Optional[str], text: str) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+    with _output(out) as write:
+        write(text)
 
 
 def cmd_forms(args) -> int:
@@ -74,37 +83,46 @@ def cmd_forms(args) -> int:
 def _resolve_labels(args) -> list[RealFormLabel]:
     if args.all and args.labels:
         raise LabelError("pass labels or --all, not both")
+    if args.bound is not None and not args.all:
+        raise ValueError("--bound needs --all: it bounds the ranks of the catalog")
     if args.all:
-        return catalog_labels(args.bound)
+        return catalog_labels(12 if args.bound is None else args.bound)
     if not args.labels:
         raise LabelError("no labels given; pass labels or --all")
     return [parse_label(text) for text in args.labels]
 
 
+def _report_lines(report, args) -> list[str]:
+    if args.format == "json":
+        record = report.to_json()
+        if args.verbose:
+            record["orbits"] = [orbit_diagram_json(od) for od in report.matching_orbits]
+        return [_json_dumps(record)]
+    status = "ok" if report.verified else "FAILED"
+    lines = [
+        f"{report.label!s:12s} {report.simple_type} dim_b={report.dim_b} "
+        f"dim_span={report.dim_span} theorem={report.theorem_holds} "
+        f"inclusion={report.easy_inclusion_holds} basis=[{', '.join(report.greedy_basis)}] {status}"
+    ]
+    if args.verbose:
+        lines.extend(
+            f"    {od.label:16s} " + " ".join(str(w) for w in od.diagram.weights) for od in report.matching_orbits
+        )
+    return lines
+
+
 def cmd_verify(args) -> int:
-    lines = []
+    """Write each label's report as soon as it is made."""
+    labels = _resolve_labels(args)
     all_ok = True
-    for report in map(verify_theorem, _resolve_labels(args)):
-        all_ok = all_ok and report.verified
-        if args.format == "json":
-            record = report.to_json()
-            if args.verbose:
-                record["orbits"] = [orbit_diagram_json(od) for od in report.matching_orbits]
-            lines.append(_json_dumps(record))
-        else:
-            basis = ", ".join(str(b) for b in report.greedy_basis)
-            status = "ok" if report.verified else "FAILED"
-            lines.append(
-                f"{report.label!s:12s} {report.simple_type} dim_b={report.dim_b} "
-                f"dim_span={report.dim_span} theorem={report.theorem_holds} "
-                f"inclusion={report.easy_inclusion_holds} basis=[{basis}] {status}"
-            )
-            if args.verbose:
-                lines.extend(
-                    f"    {od.label!s:16s} " + " ".join(str(w) for w in od.diagram.weights)
-                    for od in report.matching_orbits
-                )
-    _write(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as write:
+        for label in labels:
+            try:
+                report = verify_theorem(label)
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from exc
+            all_ok = all_ok and report.verified
+            write("\n".join(_report_lines(report, args)) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 
@@ -135,10 +153,10 @@ def cmd_orbits(args) -> int:
                 record["witness"] = witness.to_json()
         _write(args.out, _json_dumps(payload) + "\n")
     else:
-        width = max(len(str(od.label)) for od in matching)
+        width = max(len(od.label) for od in matching)
         lines = []
         for od in matching:
-            line = f"{str(od.label):{width}s}  " + " ".join(str(w) for w in od.diagram.weights)
+            line = f"{od.label:{width}s}  " + " ".join(str(w) for w in od.diagram.weights)
             if witnesses is not None:
                 line += "  [certified]"
             lines.append(line)
@@ -204,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the span theorem for labels")
     p_verify.add_argument("labels", nargs="*", help="real-form labels")
     p_verify.add_argument("--all", action="store_true", help="verify the whole catalog")
-    bound_help = "rank bound on the classical forms for --all; the 17 exceptional forms are always listed (default 12)"
-    p_verify.add_argument("--bound", type=int, default=12, help=bound_help)
+    bound_help = "rank bound on the classical forms; needs --all, and the 17 exceptional forms are always listed (default 12)"
+    p_verify.add_argument("--bound", type=int, help=bound_help)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--verbose", action="store_true", help="include all matching diagrams in reports")
     p_verify.add_argument("--out", help="write output to a file")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import exceptional_data
 from .rootcore import SimpleType, WeightedDiagram
@@ -16,63 +16,10 @@ EXCEPTIONAL = ("E", "F", "G")
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> list[tuple[int, int]]:
-        return [(part, len(list(grp))) for part, grp in groupby(self.parts)]
-
-    def __str__(self) -> str:
-        pieces = []
-        for part, mult in self.multiplicities():
-            pieces.append(f"{part}^{mult}" if mult > 1 else f"{part}")
-        return "[" + ",".join(pieces) + "]"
-
-
-@dataclass(frozen=True)
-class ClassicalLabel:
-    partition: Partition
-    very_even_tag: Optional[str] = None  # 'I' or 'II' for type-D very even partitions
-
-    def __post_init__(self):
-        if self.very_even_tag not in (None, "I", "II"):
-            raise ValueError("tag must be None, 'I' or 'II'")
-
-    def __str__(self) -> str:
-        tag = f"_{self.very_even_tag}" if self.very_even_tag else ""
-        return f"{self.partition}{tag}"
-
-
-@dataclass(frozen=True)
-class ExceptionalLabel:
-    name: str  # Bala-Carter name, e.g. "2A_2", "E_8(a_1)"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-OrbitLabel = ClassicalLabel | ExceptionalLabel
-
-
-@dataclass(frozen=True)
 class OrbitDiagram:
     """A weighted Dynkin diagram tagged with its complex-orbit label."""
 
-    label: OrbitLabel
+    label: str  # a partition label, e.g. "[3,1^2]", or a Bala-Carter name
     diagram: WeightedDiagram
 
     def __post_init__(self):
@@ -122,31 +69,43 @@ def partitions(n: int, rule: str, budget: Optional[int] = None) -> Iterator[tupl
     return blocks(n, n, n if budget is None else budget)
 
 
-def classical_partitions(t: SimpleType) -> list[Partition]:
+def classical_partitions(t: SimpleType) -> list[tuple[int, ...]]:
     """Partitions labelling the nilpotent orbits of a classical type, in
     lexicographically descending order (each exactly once, very even untagged)."""
     if t.family not in CLASSICAL:
         raise ValueError(f"{t} is exceptional; use exceptional_table")
-    return [Partition(p) for p in partitions(defining_size(t), t.family)]
+    return list(partitions(defining_size(t), t.family))
 
 
-def is_very_even(t: SimpleType, p: Partition) -> bool:
-    return t.family == "D" and all(part % 2 == 0 for part in p.parts)
+def _multiplicities(parts: Sequence[int]) -> list[tuple[int, int]]:
+    return [(part, len(list(grp))) for part, grp in groupby(parts)]
 
 
-def _h_values(p: Partition) -> list[int]:
+def partition_label(parts: Sequence[int], tag: Optional[str] = None) -> str:
+    """The printed name of a classical orbit: its parts with multiplicities as
+    exponents, then a very even partition's tag, e.g. [3,1^2] or [2^4]_I."""
+    pieces = [f"{part}^{mult}" if mult > 1 else f"{part}" for part, mult in _multiplicities(parts)]
+    return "[" + ",".join(pieces) + "]" + (f"_{tag}" if tag else "")
+
+
+def is_very_even(t: SimpleType, parts: Sequence[int]) -> bool:
+    return t.family == "D" and all(part % 2 == 0 for part in parts)
+
+
+def _h_values(parts: Sequence[int]) -> list[int]:
     """Pooled sl2 eigenvalues: each part m contributes m-1, m-3, ..., 1-m."""
     values = []
-    for part in p.parts:
+    for part in parts:
         values.extend(range(part - 1, -part, -2))
     values.sort(reverse=True)
     return values
 
 
 def diagram_of_partition(
-    t: SimpleType, p: Partition, tag: Optional[str] = None
+    t: SimpleType, parts: Sequence[int], tag: Optional[str] = None
 ) -> OrbitDiagram:
-    """Weighted Dynkin diagram of the orbit labelled by a partition.
+    """Weighted Dynkin diagram of the orbit labelled by a partition, given as
+    its positive, weakly decreasing parts.
 
     The dominant pooled eigenvalues h_1 >= ... give chain weights h_i - h_{i+1};
     type B ends with h_l, type C with 2*h_l, and type D assigns the fork pair
@@ -154,21 +113,25 @@ def diagram_of_partition(
     """
     if t.family not in CLASSICAL:
         raise ValueError(f"{t} is exceptional; use exceptional_table")
-    if p.size != defining_size(t):
-        raise ValueError(f"partition {p} has size {p.size}, expected {defining_size(t)} for {t}")
-    if any(part % 2 in _EVEN_MULTIPLICITY[t.family] and mult % 2 for part, mult in p.multiplicities()):
-        raise ValueError(f"partition {p} violates the parity constraint for type {t.family}")
-    very_even = is_very_even(t, p)
+    parts = tuple(parts)
+    if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"partition parts {parts} must be positive and weakly decreasing")
+    name = partition_label(parts, tag)
+    if sum(parts) != defining_size(t):
+        raise ValueError(f"partition {name} has size {sum(parts)}, expected {defining_size(t)} for {t}")
+    if any(part % 2 in _EVEN_MULTIPLICITY[t.family] and mult % 2 for part, mult in _multiplicities(parts)):
+        raise ValueError(f"partition {name} violates the parity constraint for type {t.family}")
+    very_even = is_very_even(t, parts)
     if very_even and tag not in ("I", "II"):
-        raise ValueError(f"very even partition {p} needs tag 'I' or 'II'")
+        raise ValueError(f"very even partition {name} needs tag 'I' or 'II'")
     if not very_even and tag is not None:
-        raise ValueError(f"partition {p} is not very even; no tag allowed")
+        raise ValueError(f"partition {name} is not very even; no tag allowed")
 
     l = t.rank
-    h = _h_values(p)
+    h = _h_values(parts)
     if t.family == "A":
         weights = [h[i] - h[i + 1] for i in range(l)]
-        return OrbitDiagram(ClassicalLabel(p), WeightedDiagram(t, tuple(weights)))
+        return OrbitDiagram(name, WeightedDiagram(t, tuple(weights)))
 
     top = h[:l]
     weights = [top[i] - top[i + 1] for i in range(l - 1)]
@@ -183,8 +146,7 @@ def diagram_of_partition(
             upper, lower = lower, upper
         weights[l - 2] = upper
         weights.append(lower)
-    label = ClassicalLabel(p, tag)
-    return OrbitDiagram(label, WeightedDiagram(t, tuple(weights)))
+    return OrbitDiagram(name, WeightedDiagram(t, tuple(weights)))
 
 
 def exceptional_table(t: SimpleType) -> list[OrbitDiagram]:
@@ -192,10 +154,7 @@ def exceptional_table(t: SimpleType) -> list[OrbitDiagram]:
     if t.family not in EXCEPTIONAL:
         raise ValueError(f"{t} is classical; use classical_partitions")
     rows = exceptional_data.TABLES[str(t)]
-    return [
-        OrbitDiagram(ExceptionalLabel(name), WeightedDiagram(t, weights))
-        for name, weights in rows
-    ]
+    return [OrbitDiagram(name, WeightedDiagram(t, weights)) for name, weights in rows]
 
 
 # type -> partition -> its orbit diagrams (two for a very even partition), so
@@ -221,9 +180,8 @@ def orbit_diagrams(t: SimpleType, rule: Optional[str] = None, budget: Optional[i
     for parts in found:
         ods = built.get(parts)
         if ods is None:
-            p = Partition(parts)
-            tags = ("I", "II") if is_very_even(t, p) else (None,)
-            ods = built[parts] = tuple(diagram_of_partition(t, p, tag) for tag in tags)
+            tags = ("I", "II") if is_very_even(t, parts) else (None,)
+            ods = built[parts] = tuple(diagram_of_partition(t, parts, tag) for tag in tags)
         out.extend(ods)
     return tuple(out)
 
@@ -238,4 +196,4 @@ def enumerate_complex_characteristics(t: SimpleType) -> tuple[OrbitDiagram, ...]
 
 
 def orbit_diagram_json(od: OrbitDiagram) -> dict:
-    return {"label": str(od.label), "weights": list(od.diagram.weights)}
+    return {"label": od.label, "weights": list(od.diagram.weights)}

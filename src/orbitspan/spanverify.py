@@ -7,15 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .nilorbits import (
-    ClassicalLabel,
-    ExceptionalLabel,
-    OrbitDiagram,
-    OrbitLabel,
-    Partition,
-    enumerate_complex_characteristics,
-    orbit_diagrams,
-)
+from .nilorbits import OrbitDiagram, enumerate_complex_characteristics, orbit_diagrams, partition_label
 from .rational import independent_prefix
 from .rootcore import SimpleType, opposition_involution
 from .satake import (
@@ -37,7 +29,7 @@ class VerificationReport:
     dim_b: int
     dim_span: int
     theorem_holds: bool
-    greedy_basis: tuple[OrbitLabel, ...]
+    greedy_basis: tuple[str, ...]
     easy_inclusion_holds: bool
     paper_basis_verified: bool
 
@@ -55,7 +47,7 @@ class VerificationReport:
             "dim_span": self.dim_span,
             "theorem_holds": self.theorem_holds,
             "easy_inclusion": self.easy_inclusion_holds,
-            "basis": [str(lbl) for lbl in self.greedy_basis],
+            "basis": list(self.greedy_basis),
             "paper_basis_verified": self.paper_basis_verified,
         }
 
@@ -98,7 +90,7 @@ def check_easy_inclusion(t: SimpleType, matching: Iterable[OrbitDiagram]) -> boo
 
 def greedy_basis_of(
     matching: Sequence[OrbitDiagram], stop_at: Optional[int] = None
-) -> tuple[list[OrbitLabel], list[tuple[int, ...]]]:
+) -> tuple[list[str], list[tuple[int, ...]]]:
     """First independent spanning subset in canonical enumeration order: the
     labels and weights of its diagrams, ending after `stop_at` picks when
     given.  Orbit-diagram weights are the integers 0, 1 and 2."""
@@ -128,15 +120,11 @@ def verify_theorem(label: RealFormLabel) -> VerificationReport:
     )
 
 
-def _cls(parts: Sequence[int], tag: Optional[str] = None) -> ClassicalLabel:
-    return ClassicalLabel(Partition(tuple(parts)), tag)
-
-
 def _one_plus(head: list[int], ones: int) -> list[int]:
     return head + [1] * ones
 
 
-def paper_basis(label: RealFormLabel) -> list[OrbitLabel]:
+def paper_basis(label: RealFormLabel) -> list[str]:
     """The published example basis for the form, instantiated at its parameters.
 
     Raises LookupError for labels outside the published tables.
@@ -145,62 +133,62 @@ def paper_basis(label: RealFormLabel) -> list[OrbitLabel]:
     k, p = label.kind, label.params
     if k == "sl":
         n = p[0]
-        out = [_cls(_one_plus([2 * s + 1], n - 1 - 2 * s)) for s in range(1, (n - 1) // 2 + 1)]
+        out = [partition_label(_one_plus([2 * s + 1], n - 1 - 2 * s)) for s in range(1, (n - 1) // 2 + 1)]
         if n % 2 == 0:
-            out.append(_cls([n]))
+            out.append(partition_label([n]))
         return out
     if k == "su*":
         kk = p[0] // 2
-        out = [_cls(_one_plus([2 * s + 1] * 2, 2 * kk - 4 * s - 2)) for s in range(1, (kk - 1) // 2 + 1)]
+        out = [partition_label(_one_plus([2 * s + 1] * 2, 2 * kk - 4 * s - 2)) for s in range(1, (kk - 1) // 2 + 1)]
         if kk % 2 == 0:
-            out.append(_cls([kk, kk]))
+            out.append(partition_label([kk, kk]))
         return out
     if k == "su":
         pp, q = p
         l = pp + q - 1
         if pp > q + 1:
-            return [_cls(_one_plus([2 * s + 1], l - 2 * s)) for s in range(1, q + 1)]
+            return [partition_label(_one_plus([2 * s + 1], l - 2 * s)) for s in range(1, q + 1)]
         if pp == q + 1:
-            return [_cls(_one_plus([2 * s + 1], 2 * q - 2 * s)) for s in range(1, q + 1)]
-        out = [_cls(_one_plus([2 * s + 1], 2 * q - 1 - 2 * s)) for s in range(1, q)]
-        out.append(_cls([2 * q]))
+            return [partition_label(_one_plus([2 * s + 1], 2 * q - 2 * s)) for s in range(1, q + 1)]
+        out = [partition_label(_one_plus([2 * s + 1], 2 * q - 1 - 2 * s)) for s in range(1, q)]
+        out.append(partition_label([2 * q]))
         return out
     if k == "so" and underlying_type(label).family == "B":
         q = p[1]
         l = (p[0] + q - 1) // 2
-        return [_cls(_one_plus([2 * s + 1], 2 * l - 2 * s)) for s in range(1, q + 1)]
+        return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s)) for s in range(1, q + 1)]
     if k == "spR":
         l = p[0]
-        out = [_cls([2] * l)]
-        out.extend(_cls([2 * s + 2] + [2] * (l - s - 1)) for s in range(1, l))
+        out = [partition_label([2] * l)]
+        out.extend(partition_label([2 * s + 2] + [2] * (l - s - 1)) for s in range(1, l))
         return out
     if k == "sp":
         pp, q = p
         l = pp + q
         if pp > q:
-            return [_cls(_one_plus([2 * s + 1] * 2, 2 * l - 4 * s - 2)) for s in range(1, q + 1)]
-        out = [_cls(_one_plus([2 * s + 1] * 2, 4 * q - 4 * s - 2)) for s in range(1, q)]
-        out.append(_cls([2 * q, 2 * q]))
+            return [partition_label(_one_plus([2 * s + 1] * 2, 2 * l - 4 * s - 2)) for s in range(1, q + 1)]
+        out = [partition_label(_one_plus([2 * s + 1] * 2, 4 * q - 4 * s - 2)) for s in range(1, q)]
+        out.append(partition_label([2 * q, 2 * q]))
         return out
     if k == "so" and underlying_type(label).family == "D":
         pp, q = p
         l = (pp + q) // 2
         if pp > q + 2:
-            return [_cls(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, q + 1)]
+            return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, q + 1)]
         if pp == q + 2 or l % 2 == 1:  # so(l+1,l-1) and odd split so(l,l)
-            return [_cls(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
-        out = [_cls(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
-        out.append(_cls([2] * l, "I"))
+            return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
+        out = [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
+        out.append(partition_label([2] * l, "I"))
         return out
     if k == "so*":
         n = p[0] // 2
         if n % 2 == 0:
             m = n // 2
-            out = [_cls(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s - 2)) for s in range(1, m)]
-            out.append(_cls([2] * (2 * m), "I"))
+            out = [partition_label(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s - 2)) for s in range(1, m)]
+            out.append(partition_label([2] * (2 * m), "I"))
             return out
         m = (n - 1) // 2
-        return [_cls(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s)) for s in range(1, m + 1)]
+        return [partition_label(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s)) for s in range(1, m + 1)]
     exceptional = {
         ("e6", (6,)): ["A_2", "2A_2", "D_4", "E_6"],
         ("e6", (2,)): ["A_2", "2A_2", "D_4", "E_6"],
@@ -218,7 +206,7 @@ def paper_basis(label: RealFormLabel) -> list[OrbitLabel]:
     names = exceptional.get((k, tuple(p)))
     if names is None:
         raise LookupError(f"no published basis for {label}")
-    return [ExceptionalLabel(name) for name in names]
+    return names
 
 
 def verify_paper_basis(label: RealFormLabel, matching: Iterable[OrbitDiagram]) -> bool:

@@ -48,8 +48,8 @@ def distinguished(t: SimpleType) -> tuple[tuple[str, tuple[int, ...]], ...]:
     if t.family == "A":
         return ((f"A_{t.rank}", (2,) * t.rank),)
     if t.family == "D":  # the partitions into distinct odd parts
-        odd = [p for p in classical_partitions(t) if all(m % 2 for m in p.parts)]
-        weights = [diagram_of_partition(t, p).diagram.weights for p in odd if len(set(p.parts)) == len(p.parts)]
+        odd = [p for p in classical_partitions(t) if all(m % 2 for m in p)]
+        weights = [diagram_of_partition(t, p).diagram.weights for p in odd if len(set(p)) == len(p)]
         decorated = [f"(a_{k})" for k in range(1, len(weights))]
     else:  # even diagrams with dim g_0 = dim g_2 that the oracle certifies
         model = build_chevalley(t, max_rank=8)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import orbitspan
 from orbitspan import cli
 from orbitspan.cli import main
+from orbitspan.satake import catalog_labels
 
 
 def run_cli(args):
@@ -279,11 +280,35 @@ def test_inputs_over_the_rank_cap_are_usage_errors():
 
 
 def test_candidate_lists_over_the_cap_are_usage_errors(capsys):
-    over = [["sl(200,R)"], ["so(500,500)"], ["so*(2000)"], ["spC(1000)"], ["su(480,20)"], ["--all", "--bound", "100"]]
-    for argv in over:
+    for argv in (["sl(200,R)"], ["so(500,500)"], ["so*(2000)"], ["spC(1000)"], ["su(480,20)"]):
         assert main(["verify", *argv]) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "candidate orbits; candidates x rank is capped at" in err, argv
+    # each report is written as it is made, so the 18 labels before sl(100,R) are printed before the error
+    before = [str(label) for label in catalog_labels(100)[:18]]
+    assert main(["verify", *before]) == 0
+    reports = capsys.readouterr().out
+    assert len(reports.splitlines()) == 18
+    assert main(["verify", "--all", "--bound", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == reports
+    assert err.startswith("error: sl(100,R): A99 has over") and "candidates x rank is capped at" in err
+
+
+def test_unwritable_out_is_reported_before_any_label_is_verified(monkeypatch, capsys, tmp_path):
+    def unreachable(label):
+        raise AssertionError(f"{label} verified before --out was opened")
+
+    monkeypatch.setattr(cli, "verify_theorem", unreachable)
+    target = tmp_path / "missing" / "x"
+    assert main(["verify", "--all", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+def test_bound_without_all_is_usage_error(capsys):
+    for bound in ("30", "0"):
+        assert main(["verify", "sl(4,R)", "--bound", bound]) == 2
+        assert capsys.readouterr() == ("", "error: --bound needs --all: it bounds the ranks of the catalog\n")
 
 
 # sha256 of `verify --all --bound 12 --verbose` stdout in two formats, the
@@ -298,6 +323,28 @@ def test_bound_12_reference_bytes(capsys):
     for fmt, digest in REFERENCE_DIGESTS.items():
         assert main(["verify", "--all", "--bound", "12", "--format", fmt, "--verbose"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
+# sha256 of `verify LABEL --format json --verbose` stdout for large single
+# labels: split forms, whose greedy grows with rank, and rank-one forms, which
+# enumerate tens of thousands of partitions
+LADDER_DIGESTS = {
+    "sl(20,R)": "21600ec4af2e178d7b1e772a240880497364301ffa5b06189d2e3407f0d9e65e",
+    "sl(24,R)": "22bee6175df1bc15690814523b1cb8bcca466b514c6d5e12562bb250554abdd4",
+    "sl(26,R)": "292133ddf5745c7bb86eafb0a117b25eb0b66f200cb4e81cc671679fbeecf5ec",
+    "sp(14,R)": "ecc30b7a96440c8b0216880c5c712edd5070c5f6e0ec1eaf156304c0b27f306d",
+    "so(14,14)": "3b5c698a8861fa779181fa2c347c24303d3b2c76b74864c140b31126f4680bc2",
+    "su(31,1)": "129dc7041c061c0933fdd19e46b61c7c84b1ef7299757e61d2f94f07ee4bbf2c",
+    "su(35,1)": "a8637b22468ddaa09ec28fa458a212aff4b26467b5b784f22bdaf34b103f35f8",
+    "so(34,1)": "75100c6375098855293c7a678b0017646317c81938885dfba0678cbd37624380",
+    "sp(18,1)": "7b8e035b7874ce689021d6eb9134d60e37cea60ea35192d3178781d26a997abb",
+}
+
+
+def test_ladder_reference_bytes(capsys):
+    for label, digest in LADDER_DIGESTS.items():
+        assert main(["verify", label, "--format", "json", "--verbose"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, label
 
 
 def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):

@@ -11,7 +11,7 @@ from chevalley_reference import ReferenceModel
 
 import orbitspan
 
-from orbitspan.nilorbits import Partition, diagram_of_partition, enumerate_complex_characteristics
+from orbitspan.nilorbits import diagram_of_partition, enumerate_complex_characteristics
 from orbitspan.rootcore import SimpleType, WeightedDiagram, build_root_system
 from orbitspan.sl2oracle import build_chevalley, is_characteristic
 
@@ -263,7 +263,7 @@ def test_trials_without_an_open_orbit_are_undecided():
     nothing, so the oracle raises instead of rejecting; two draws accept."""
     t = SimpleType("B", 4)
     model = build_chevalley(t)
-    d = diagram_of_partition(t, Partition((3, 1, 1, 1, 1, 1, 1))).diagram
+    d = diagram_of_partition(t, (3, 1, 1, 1, 1, 1, 1)).diagram
     with pytest.raises(ValueError, match=r"undecided on B4 \[2, 0, 0, 0\].* in 1 trials; allow more trials"):
         is_characteristic(model, d, trials=1)
     ok, witness = is_characteristic(model, d, trials=2)

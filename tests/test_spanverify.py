@@ -10,7 +10,7 @@ from greedy_reference import greedy_reference
 from rref_reference import span_of, vec
 from orbitspan import nilorbits, spanverify
 from orbitspan.cli import main
-from orbitspan.nilorbits import ClassicalLabel, OrbitDiagram, Partition, enumerate_complex_characteristics
+from orbitspan.nilorbits import OrbitDiagram, enumerate_complex_characteristics, partition_label
 from orbitspan.rootcore import SimpleType, WeightedDiagram
 from orbitspan.satake import b_subspace, catalog_labels, parse_label, satake_catalog, underlying_type
 from orbitspan.spanverify import (
@@ -74,8 +74,8 @@ def test_easy_inclusion_all_su_forms_to_rank_8():
 def test_easy_inclusion_rejects_a_diagram_moved_by_minus_w0():
     a3 = SimpleType("A", 3)
     # (1, 0, 0) is no orbit's diagram; only the weights matter to the check
-    moved = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(a3, vec([1, 0, 0])))
-    fixed = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(a3, vec([1, 0, 1])))
+    moved = OrbitDiagram(partition_label((2, 1, 1)), WeightedDiagram(a3, vec([1, 0, 0])))
+    fixed = OrbitDiagram(partition_label((2, 1, 1)), WeightedDiagram(a3, vec([1, 0, 1])))
     assert check_easy_inclusion(a3, [fixed])
     assert not check_easy_inclusion(a3, [fixed, moved])
 
@@ -119,7 +119,7 @@ def test_theorem_fails_for_a_full_count_basis_outside_b(monkeypatch):
     label = parse_label("sl(4,R)")
     honest = verify_theorem(label)
     regular, *_, zero = h_n_a_plus(label)
-    outside = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(SimpleType("A", 3), (2, 0, 0)))
+    outside = OrbitDiagram(partition_label((2, 1, 1)), WeightedDiagram(SimpleType("A", 3), (2, 0, 0)))
     monkeypatch.setattr(spanverify, "h_n_a_plus", lambda _: [regular, outside, zero])
     report = verify_theorem(label)
     assert report.greedy_basis == (regular.label, outside.label)
@@ -134,8 +134,8 @@ def test_greedy_exit_at_dim_b_keeps_a_failing_report_whole(monkeypatch):
     label = parse_label("sl(4,R)")
     regular, *_, zero = h_n_a_plus(label)
     t = SimpleType("A", 3)
-    middle = OrbitDiagram(ClassicalLabel(Partition((2, 2))), WeightedDiagram(t, (0, 2, 0)))
-    side = OrbitDiagram(ClassicalLabel(Partition((2, 1, 1))), WeightedDiagram(t, (2, 0, 0)))
+    middle = OrbitDiagram(partition_label((2, 2)), WeightedDiagram(t, (0, 2, 0)))
+    side = OrbitDiagram(partition_label((2, 1, 1)), WeightedDiagram(t, (2, 0, 0)))
     matching = [regular, middle, zero, side]
     monkeypatch.setattr(spanverify, "h_n_a_plus", lambda _: matching)
     report = verify_theorem(label)
@@ -212,7 +212,7 @@ def test_paper_bases_verified_for_catalog_to_rank_8():
 @pytest.mark.parametrize("text, parts", [("sl(4,R)", (5,)), ("su(3,1)", (2, 2))])
 def test_published_label_outside_the_matching_list_fails(monkeypatch, capsys, text, parts):
     # [5] is no orbit of A3; [2^2] is one, but its diagram misses su(3,1)'s Satake diagram
-    monkeypatch.setattr(spanverify, "paper_basis", lambda label: [ClassicalLabel(Partition(parts))])
+    monkeypatch.setattr(spanverify, "paper_basis", lambda label: [partition_label(parts)])
     assert verify_theorem(parse_label(text)).paper_basis_verified is False
     assert main(["verify", text]) == 1
     assert capsys.readouterr().out.rstrip("\n").endswith("FAILED")
