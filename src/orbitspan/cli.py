@@ -130,13 +130,14 @@ def cmd_orbits(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     label = parse_label(args.label)
-    matching = h_n_a_plus(label)
-    witnesses = None
+    t = underlying_type(label)
     if args.oracle:
         from .sl2oracle import build_chevalley, is_characteristic
 
-        t = underlying_type(label)
-        model = build_chevalley(t, max_rank=max(t.rank, 6))
+        model = build_chevalley(t, max_rank=8)  # refuses a larger rank before any diagram is enumerated
+    matching = h_n_a_plus(label)
+    witnesses = None
+    if args.oracle:
         witnesses = [is_characteristic(model, od.diagram, trials=args.trials) for od in matching]
         if not all(ok for ok, _ in witnesses):
             print("error: an enumerated diagram failed oracle certification", file=sys.stderr)
@@ -144,8 +145,8 @@ def cmd_orbits(args) -> int:
     if args.format == "json":
         payload = {
             "label": str(label),
-            "type": underlying_type(label).family,
-            "rank": underlying_type(label).rank,
+            "type": t.family,
+            "rank": t.rank,
             "orbits": [orbit_diagram_json(od) for od in matching],
         }
         if witnesses is not None:

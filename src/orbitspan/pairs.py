@@ -93,6 +93,12 @@ def _solve(equations: list[Equation]) -> Optional[dict[str, int]]:
 _DOMAINS = {"k": 1, "m": 1, "n": 2, "p": 1, "q": 1, "i": 0, "j": 0}
 
 
+def _solve_in_domain(equations: list[Equation]) -> Optional[dict[str, int]]:
+    """The integral solution of `_solve` when every parameter lies in its domain, else None."""
+    env = _solve(equations)
+    return env if env is not None and all(env[v] >= _DOMAINS[v] for v in env) else None
+
+
 @dataclass(frozen=True)
 class SymmetricPairEntry:
     """One row of the classification table, with free integer parameters."""
@@ -217,11 +223,11 @@ def _match_row(row, g: Summand, h: list[Summand]) -> Optional[dict[str, int]]:
     if len(h_pats) != len(h):
         return None
     for g_eqs in _equations(g_pat, g):
-        if _solve(g_eqs) is None:
+        if _solve_in_domain(g_eqs) is None:
             continue
         for eqs in _placements(h_pats, h, g_eqs):
-            env = _solve(eqs)
-            if env is not None and all(env[v] >= _DOMAINS[v] for v in env) and check(env):
+            env = _solve_in_domain(eqs)
+            if env is not None and check(env):
                 return env
     return None
 
@@ -242,12 +248,13 @@ def lookup_pair(g_label: str, h_description: str) -> Optional[tuple[SymmetricPai
 
 
 def pairs_for(g_label: str) -> list[SymmetricPairEntry]:
-    """All rows whose g pattern can be instantiated to the given label."""
+    """All rows whose g pattern can be instantiated to the given label with
+    parameters in their domains."""
     g = parse_summand(g_label)
     return [
         SymmetricPairEntry(g_pat, h_pats, cond)
         for g_pat, h_pats, cond, _ in _ROWS
-        if any(_solve(eqs) is not None for eqs in _equations(g_pat, g))
+        if any(_solve_in_domain(eqs) is not None for eqs in _equations(g_pat, g))
     ]
 
 

@@ -143,10 +143,7 @@ def build_chevalley(t: SimpleType, max_rank: int = DEFAULT_RANK_BOUND) -> Cheval
     """Construct (and cache) the Chevalley model; ranks above `max_rank` are
     rejected since exact arithmetic gets slow (pass a larger bound to allow)."""
     if t.rank > max_rank:
-        raise ValueError(
-            f"rank {t.rank} exceeds the oracle bound {max_rank}; "
-            f"pass max_rank={t.rank} explicitly if you accept the runtime"
-        )
+        raise ValueError(f"rank {t.rank} exceeds the oracle bound max_rank={max_rank}")
     return _cached_model(t)
 
 

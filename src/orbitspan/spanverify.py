@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .nilorbits import OrbitDiagram, enumerate_complex_characteristics, orbit_diagrams, partition_label
+from .nilorbits import OrbitDiagram, defining_size, enumerate_complex_characteristics, orbit_diagrams, partition_label
 from .rational import independent_prefix
 from .rootcore import SimpleType, opposition_involution
 from .satake import (
@@ -120,93 +120,55 @@ def verify_theorem(label: RealFormLabel) -> VerificationReport:
     )
 
 
-def _one_plus(head: list[int], ones: int) -> list[int]:
-    return head + [1] * ones
+# The published bases of the exceptional forms, keyed (kind, signature).
+_EXCEPTIONAL_BASES = {
+    ("e6", 6): ["A_2", "2A_2", "D_4", "E_6"],
+    ("e6", 2): ["A_2", "2A_2", "D_4", "E_6"],
+    ("e6", -14): ["A_2", "2A_2"],
+    ("e6", -26): ["2A_2"],
+    ("e7", 7): ["(3A_1)''", "A_2", "2A_2", "D_4", "A_3+A_2+A_1", "A_4+A_2", "E_7"],
+    ("e7", -5): ["A_2", "2A_2", "D_4", "A_4+A_2"],
+    ("e7", -25): ["(3A_1)''", "A_2", "2A_2"],
+    ("e8", 8): ["A_2", "2A_2", "D_4", "A_4+A_2", "D_4+A_2", "D_5+A_2", "E_8(a_1)", "E_8"],
+    ("e8", -24): ["A_2", "2A_2", "D_4", "A_4+A_2"],
+    ("f4", 4): ["A_2", "Ã_2", "B_3", "F_4"],
+    ("f4", -20): ["Ã_2"],
+    ("g2", 2): ["G_2(a_1)", "G_2"],
+}
 
 
 def paper_basis(label: RealFormLabel) -> list[str]:
     """The published example basis for the form, instantiated at its parameters.
 
-    Raises LookupError for labels outside the published tables.
+    Every classical kind but sp(l,R) is one row (c, count, closing): the orbits
+    [(2s+1)^c, 1^(N-c(2s+1))] for s = 1..count, N the defining size, then the
+    closing orbit if any.  Raises LookupError for labels outside the tables.
     """
     label = split_label_of(label)
     k, p = label.kind, label.params
-    if k == "sl":
-        n = p[0]
-        out = [partition_label(_one_plus([2 * s + 1], n - 1 - 2 * s)) for s in range(1, (n - 1) // 2 + 1)]
-        if n % 2 == 0:
-            out.append(partition_label([n]))
-        return out
-    if k == "su*":
-        kk = p[0] // 2
-        out = [partition_label(_one_plus([2 * s + 1] * 2, 2 * kk - 4 * s - 2)) for s in range(1, (kk - 1) // 2 + 1)]
-        if kk % 2 == 0:
-            out.append(partition_label([kk, kk]))
-        return out
-    if k == "su":
-        pp, q = p
-        l = pp + q - 1
-        if pp > q + 1:
-            return [partition_label(_one_plus([2 * s + 1], l - 2 * s)) for s in range(1, q + 1)]
-        if pp == q + 1:
-            return [partition_label(_one_plus([2 * s + 1], 2 * q - 2 * s)) for s in range(1, q + 1)]
-        out = [partition_label(_one_plus([2 * s + 1], 2 * q - 1 - 2 * s)) for s in range(1, q)]
-        out.append(partition_label([2 * q]))
-        return out
-    if k == "so" and underlying_type(label).family == "B":
-        q = p[1]
-        l = (p[0] + q - 1) // 2
-        return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s)) for s in range(1, q + 1)]
+    if (k, p[0]) in _EXCEPTIONAL_BASES:
+        return list(_EXCEPTIONAL_BASES[k, p[0]])
+    n, q = p[0], p[-1]  # sl(n,R) and sp(n,R); su(n,q), sp(n,q) and so(n,q)
+    m = n // 2  # su*(2m) and so*(2m)
     if k == "spR":
-        l = p[0]
-        out = [partition_label([2] * l)]
-        out.extend(partition_label([2 * s + 2] + [2] * (l - s - 1)) for s in range(1, l))
-        return out
-    if k == "sp":
-        pp, q = p
-        l = pp + q
-        if pp > q:
-            return [partition_label(_one_plus([2 * s + 1] * 2, 2 * l - 4 * s - 2)) for s in range(1, q + 1)]
-        out = [partition_label(_one_plus([2 * s + 1] * 2, 4 * q - 4 * s - 2)) for s in range(1, q)]
-        out.append(partition_label([2 * q, 2 * q]))
-        return out
-    if k == "so" and underlying_type(label).family == "D":
-        pp, q = p
-        l = (pp + q) // 2
-        if pp > q + 2:
-            return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, q + 1)]
-        if pp == q + 2 or l % 2 == 1:  # so(l+1,l-1) and odd split so(l,l)
-            return [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
-        out = [partition_label(_one_plus([2 * s + 1], 2 * l - 2 * s - 1)) for s in range(1, l)]
-        out.append(partition_label([2] * l, "I"))
-        return out
-    if k == "so*":
-        n = p[0] // 2
-        if n % 2 == 0:
-            m = n // 2
-            out = [partition_label(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s - 2)) for s in range(1, m)]
-            out.append(partition_label([2] * (2 * m), "I"))
-            return out
-        m = (n - 1) // 2
-        return [partition_label(_one_plus([2 * s + 1] * 2, 4 * m - 4 * s)) for s in range(1, m + 1)]
-    exceptional = {
-        ("e6", (6,)): ["A_2", "2A_2", "D_4", "E_6"],
-        ("e6", (2,)): ["A_2", "2A_2", "D_4", "E_6"],
-        ("e6", (-14,)): ["A_2", "2A_2"],
-        ("e6", (-26,)): ["2A_2"],
-        ("e7", (7,)): ["(3A_1)''", "A_2", "2A_2", "D_4", "A_3+A_2+A_1", "A_4+A_2", "E_7"],
-        ("e7", (-5,)): ["A_2", "2A_2", "D_4", "A_4+A_2"],
-        ("e7", (-25,)): ["(3A_1)''", "A_2", "2A_2"],
-        ("e8", (8,)): ["A_2", "2A_2", "D_4", "A_4+A_2", "D_4+A_2", "D_5+A_2", "E_8(a_1)", "E_8"],
-        ("e8", (-24,)): ["A_2", "2A_2", "D_4", "A_4+A_2"],
-        ("f4", (4,)): ["A_2", "Ã_2", "B_3", "F_4"],
-        ("f4", (-20,)): ["Ã_2"],
-        ("g2", (2,)): ["G_2(a_1)", "G_2"],
-    }
-    names = exceptional.get((k, tuple(p)))
-    if names is None:
+        return [partition_label([2 * s + 2] + [2] * (n - s - 1)) for s in range(n)]
+    if k == "sl":
+        c, count, closing = 1, (n - 1) // 2, partition_label([n]) if n % 2 == 0 else None
+    elif k == "su*":
+        c, count, closing = 2, (m - 1) // 2, partition_label([m, m]) if m % 2 == 0 else None
+    elif k == "so*":
+        c, count, closing = 2, (m - 1) // 2, partition_label([2] * m, "I") if m % 2 == 0 else None
+    elif k == "su":
+        c, count, closing = (1, q, None) if n > q else (1, q - 1, partition_label([2 * q]))
+    elif k == "sp":
+        c, count, closing = (2, q, None) if n > q else (2, q - 1, partition_label([2 * q] * 2))
+    elif k == "so":  # n + q odd forces n > q
+        c, count, closing = (1, q, None) if n > q else (1, q - 1, partition_label([2] * q, "I") if q % 2 == 0 else None)
+    else:
         raise LookupError(f"no published basis for {label}")
-    return names
+    size = defining_size(underlying_type(label))
+    out = [partition_label([2 * s + 1] * c + [1] * (size - c * (2 * s + 1))) for s in range(1, count + 1)]
+    return out + [closing] if closing else out
 
 
 def verify_paper_basis(label: RealFormLabel, matching: Iterable[OrbitDiagram]) -> bool:

@@ -168,6 +168,15 @@ def test_empty_pairs_symbol_is_parsed_not_dropped(capsys):
     assert captured.out == "" and "--h needs --g" in captured.err
 
 
+def test_pairs_for_symbol_out_of_domain_prints_the_empty_list(capsys):
+    for fmt in ("text", "json", "csv"):
+        assert main(["pairs", "--g", "g2(2)", "--format", fmt]) == 0
+        empty = capsys.readouterr()
+        for symbol in ("su(4,0)", "sp(1,R)", "sl(0,R)"):
+            assert main(["pairs", "--g", symbol, "--format", fmt]) == 0
+            assert capsys.readouterr() == empty, (symbol, fmt)
+
+
 def test_verify_labels_with_all_is_usage_error():
     code, out, err = run_cli(["verify", "sl(2,R)", "--all"])
     assert (code, out, err) == (2, "", "error: pass labels or --all, not both\n")
@@ -251,6 +260,18 @@ def test_oracle_json_bytes_unchanged_by_integer_weights(capsys):
     for label, expected in ORACLE_JSON.items():
         assert main(["orbits", label, "--oracle", "--format", "json"]) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_oracle_over_rank_8_is_refused_before_any_model_is_built(monkeypatch, capsys):
+    from orbitspan import sl2oracle
+
+    def no_model(t):
+        raise AssertionError(f"built a model of {t}")
+
+    monkeypatch.setattr(sl2oracle, "_cached_model", no_model)
+    for label, rank in (("su(120,1)", 120), ("sl(12,R)", 11)):
+        assert main(["orbits", label, "--oracle"]) == 2
+        assert capsys.readouterr() == ("", f"error: rank {rank} exceeds the oracle bound max_rank=8\n")
 
 
 def test_verify_all_small_bound_deterministic(tmp_path):

@@ -127,6 +127,14 @@ def test_pairs_for_g():
     assert pairs_for("g2(2)") == []
 
 
+def test_pairs_for_lists_only_rows_a_lookup_can_reach():
+    # a compact or degenerate symbol puts some g parameter below its domain
+    for symbol in ("su(4,0)", "sp(1,R)", "sl(0,R)", "so(3,0)", "sl(1,C)"):
+        assert pairs_for(symbol) == [], symbol
+    # su(n,n) needs n >= 2, so su(1,1) keeps only the su(p,q) row
+    assert [e.g for e in pairs_for("su(1,1)")] == ["su(p,q)"]
+
+
 def test_csv_export():
     csv = table_csv()
     assert csv.splitlines()[0] == "g,h,condition"

@@ -1,5 +1,7 @@
 """The matching filter, spans, and per-form verification reports."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -196,6 +198,14 @@ def test_paper_basis_examples():
     assert [str(x) for x in paper_basis(parse_label("so(6,6)"))] == [
         "[3,1^9]", "[5,1^7]", "[7,1^5]", "[9,1^3]", "[11,1]", "[2^6]_I"]
     assert [str(x) for x in paper_basis(parse_label("su*(8)"))] == ["[3^2,1^2]", "[4^2]"]
+
+
+def test_paper_bases_are_pinned_to_bound_40():
+    # a recipe that drifted to another valid basis would still pass the validity checks
+    labels = catalog_labels(40)
+    text = json.dumps([[str(label), paper_basis(label)] for label in labels])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(labels), digest) == (2761, "2aecdc92c1f9ea387362657bc7f93ea81623646665795e09d1b255d236af78df")
 
 
 def test_verify_paper_basis_examples():
