@@ -12,6 +12,7 @@ from typing import Callable, Iterator, Optional
 from .nilorbits import orbit_diagram_json
 from .pairs import lookup_pair, pairs_for, proper_sl2_pairs, table_csv
 from .satake import (
+    KINDS,
     LabelError,
     RealFormLabel,
     catalog_labels,
@@ -25,25 +26,6 @@ from .spanverify import h_n_a_plus, verify_theorem
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
-
-_FORM_PATTERNS = [
-    ("sl(n,R)", "n >= 2"),
-    ("su*(2k)", "k >= 2"),
-    ("su(p,q)", "p >= q >= 1, p+q >= 2"),
-    ("so(p,q)", "p >= q >= 1; p+q odd >= 5 or even >= 8 (smaller cases are aliases)"),
-    ("sp(l,R)", "l >= 1"),
-    ("sp(p,q)", "p >= q >= 1"),
-    ("so*(2n)", "n >= 4 (so*(6) is su(3,1))"),
-    ("e6(6) | e6(2) | e6(-14) | e6(-26)", ""),
-    ("e7(7) | e7(-5) | e7(-25)", ""),
-    ("e8(8) | e8(-24)", ""),
-    ("f4(4) | f4(-20)", ""),
-    ("g2(2)", ""),
-    ("slC(n)", "n >= 2; complex sl(n,C) viewed as a real algebra"),
-    ("soC(n)", "n >= 5, n != 6; complex so(n,C) viewed as real"),
-    ("spC(l)", "l >= 2; complex sp(l,C) viewed as real"),
-    ("e6C | e7C | e8C | f4C | g2C", "complex exceptional algebras viewed as real"),
-]
 
 
 def _json_dumps(obj) -> str:
@@ -71,7 +53,8 @@ def _write(out: Optional[str], text: str) -> None:
 
 def cmd_forms(args) -> int:
     needle = (args.filter or "").lower()
-    rows = [(pat, cond) for pat, cond in _FORM_PATTERNS if needle in pat.lower()]
+    patterns = dict.fromkeys((kind.pattern, kind.constraints) for kind in KINDS.values())  # e6C..g2C share one row
+    rows = [(pat, cond) for pat, cond in patterns if needle in pat.lower()]
     if args.format == "json":
         _write(args.out, _json_dumps([{"pattern": p, "constraints": c} for p, c in rows]) + "\n")
     else:

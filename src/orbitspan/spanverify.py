@@ -7,10 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .nilorbits import OrbitDiagram, defining_size, enumerate_complex_characteristics, orbit_diagrams, partition_label
+from .nilorbits import OrbitDiagram, enumerate_complex_characteristics, orbit_diagrams
 from .rational import independent_prefix
 from .rootcore import SimpleType, opposition_involution
 from .satake import (
+    KINDS,
     RealFormLabel,
     SatakeDiagram,
     b_subspace,
@@ -58,20 +59,10 @@ def filter_matching(diagrams: Iterable[OrbitDiagram], s: SatakeDiagram) -> list[
 
 
 def candidate_orbits(label: RealFormLabel) -> tuple[OrbitDiagram, ...]:
-    """The orbit diagrams the Satake filter is given, in canonical order: only
-    partitions whose signed Young diagrams can fit the form (Collingwood-
-    McGovern 9.3), sum floor(m/2) <= q over the parts m for su(p,q) and
-    so(p,q), all multiplicities even for su*(2k), and both, with 2q, for
-    sp(p,q).  Other kinds, and budgets that bind nothing, get every orbit."""
+    """The orbit diagrams the Satake filter is given, in canonical order, as the kind's candidate rule says."""
     t = underlying_type(label)
-    k, p = label.kind, label.params
-    if k in ("su", "so") and p[1] < sum(p) // 2:
-        return orbit_diagrams(t, budget=p[1])
-    if k == "sp":
-        return orbit_diagrams(t, "even", 2 * p[1])
-    if k == "su*":
-        return orbit_diagrams(t, "even")
-    return enumerate_complex_characteristics(t)
+    rule = KINDS[label.kind].candidates(*label.params)
+    return enumerate_complex_characteristics(t) if rule is None else orbit_diagrams(t, *rule)
 
 
 def h_n_a_plus(label: RealFormLabel) -> list[OrbitDiagram]:
@@ -120,55 +111,11 @@ def verify_theorem(label: RealFormLabel) -> VerificationReport:
     )
 
 
-# The published bases of the exceptional forms, keyed (kind, signature).
-_EXCEPTIONAL_BASES = {
-    ("e6", 6): ["A_2", "2A_2", "D_4", "E_6"],
-    ("e6", 2): ["A_2", "2A_2", "D_4", "E_6"],
-    ("e6", -14): ["A_2", "2A_2"],
-    ("e6", -26): ["2A_2"],
-    ("e7", 7): ["(3A_1)''", "A_2", "2A_2", "D_4", "A_3+A_2+A_1", "A_4+A_2", "E_7"],
-    ("e7", -5): ["A_2", "2A_2", "D_4", "A_4+A_2"],
-    ("e7", -25): ["(3A_1)''", "A_2", "2A_2"],
-    ("e8", 8): ["A_2", "2A_2", "D_4", "A_4+A_2", "D_4+A_2", "D_5+A_2", "E_8(a_1)", "E_8"],
-    ("e8", -24): ["A_2", "2A_2", "D_4", "A_4+A_2"],
-    ("f4", 4): ["A_2", "Ã_2", "B_3", "F_4"],
-    ("f4", -20): ["Ã_2"],
-    ("g2", 2): ["G_2(a_1)", "G_2"],
-}
-
-
 def paper_basis(label: RealFormLabel) -> list[str]:
-    """The published example basis for the form, instantiated at its parameters.
-
-    Every classical kind but sp(l,R) is one row (c, count, closing): the orbits
-    [(2s+1)^c, 1^(N-c(2s+1))] for s = 1..count, N the defining size, then the
-    closing orbit if any.  Raises LookupError for labels outside the tables.
-    """
+    """The published example basis for the form, instantiated at its parameters (a complex
+    form has its split form's); raises LabelError as satake_catalog does."""
     label = split_label_of(label)
-    k, p = label.kind, label.params
-    if (k, p[0]) in _EXCEPTIONAL_BASES:
-        return list(_EXCEPTIONAL_BASES[k, p[0]])
-    n, q = p[0], p[-1]  # sl(n,R) and sp(n,R); su(n,q), sp(n,q) and so(n,q)
-    m = n // 2  # su*(2m) and so*(2m)
-    if k == "spR":
-        return [partition_label([2 * s + 2] + [2] * (n - s - 1)) for s in range(n)]
-    if k == "sl":
-        c, count, closing = 1, (n - 1) // 2, partition_label([n]) if n % 2 == 0 else None
-    elif k == "su*":
-        c, count, closing = 2, (m - 1) // 2, partition_label([m, m]) if m % 2 == 0 else None
-    elif k == "so*":
-        c, count, closing = 2, (m - 1) // 2, partition_label([2] * m, "I") if m % 2 == 0 else None
-    elif k == "su":
-        c, count, closing = (1, q, None) if n > q else (1, q - 1, partition_label([2 * q]))
-    elif k == "sp":
-        c, count, closing = (2, q, None) if n > q else (2, q - 1, partition_label([2 * q] * 2))
-    elif k == "so":  # n + q odd forces n > q
-        c, count, closing = (1, q, None) if n > q else (1, q - 1, partition_label([2] * q, "I") if q % 2 == 0 else None)
-    else:
-        raise LookupError(f"no published basis for {label}")
-    size = defining_size(underlying_type(label))
-    out = [partition_label([2 * s + 1] * c + [1] * (size - c * (2 * s + 1))) for s in range(1, count + 1)]
-    return out + [closing] if closing else out
+    return KINDS[label.kind].basis(*label.params)
 
 
 def verify_paper_basis(label: RealFormLabel, matching: Iterable[OrbitDiagram]) -> bool:

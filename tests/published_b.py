@@ -8,8 +8,9 @@ from orbitspan.satake import RealFormLabel, split_label_of, underlying_type
 
 def expected_b_form(label: RealFormLabel) -> RationalSubspace:
     """The subspace transcribed from the published per-form tables."""
-    if label.is_complex:
-        return expected_b_form(split_label_of(label))
+    split = split_label_of(label)
+    if split != label:  # a complex form viewed as real
+        return expected_b_form(split)
     t = underlying_type(label)
     l = t.rank
     k, p = label.kind, label.params

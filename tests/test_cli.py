@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, formats and determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from dataclasses import replace
 import orbitspan
 from orbitspan import cli
 from orbitspan.cli import main
-from orbitspan.satake import catalog_labels
+from orbitspan.satake import LabelError, catalog_labels, parse_label
 
 
 def run_cli(args):
@@ -31,6 +32,65 @@ def test_forms_lists_patterns(capsys):
     assert main(["forms", "su"]) == 0
     filtered = capsys.readouterr().out
     assert "su*(2k)" in filtered and "g2(2)" not in filtered
+
+
+# sha256 of `forms` stdout in both formats, the reference bytes the kind records must keep
+FORMS_DIGESTS = {
+    "text": "9be8684f42fde210eceecd6c3c4d92f8e5bba4abc82e11ea73e5e642f0f0b826",
+    "json": "5bfb1065e86a0947ae79218ffd01511aacc78a98362bd7869385368a1e637b8f",
+}
+
+
+def test_forms_reference_bytes(capsys):
+    for fmt, digest in FORMS_DIGESTS.items():
+        assert main(["forms", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
+def _accepted_params(fmt, scan):
+    """The canonical parameters of every label written by the format with arguments from the scan
+    that the catalog accepts."""
+    found = set()
+    for args in itertools.product(scan, repeat=fmt.count("{}")):
+        try:
+            found.add(parse_label(fmt.format(*args)).params)
+        except LabelError:
+            pass
+    return found
+
+
+def test_forms_constraints_state_the_least_accepted_parameters(capsys):
+    """Each classical and complex row of `forms` states the bounds the catalog
+    enforces: scanning the parameters 0-12, the least accepted label of each
+    pattern is the one its constraint names."""
+    assert main(["forms", "--format", "json"]) == 0
+    stated = {row["pattern"]: row["constraints"] for row in json.loads(capsys.readouterr().out)}
+    scan = range(13)
+    least = {  # pattern -> (label format, the bound its constraint opens with, least accepted parameters)
+        "sl(n,R)": ("sl({},R)", "n >= 2", (2,)),
+        "su*(2k)": ("su*({})", "k >= 2", (4,)),
+        "su(p,q)": ("su({},{})", "p >= q >= 1, p+q >= 2", (1, 1)),
+        "so(p,q)": ("so({},{})", "p >= q >= 1", (3, 2)),
+        "sp(l,R)": ("sp({},R)", "l >= 1", (1,)),
+        "sp(p,q)": ("sp({},{})", "p >= q >= 1", (1, 1)),
+        "so*(2n)": ("so*({})", "n >= 4", (8,)),
+        "slC(n)": ("slC({})", "n >= 2", (2,)),
+        "soC(n)": ("soC({})", "n >= 5", (5,)),
+        "spC(l)": ("spC({})", "l >= 2", (2,)),
+    }
+    accepted = {pattern: _accepted_params(fmt, scan) for pattern, (fmt, _, _) in least.items()}
+    for pattern, (_, bound, params) in least.items():
+        assert stated[pattern].startswith(bound), pattern
+        assert min(accepted[pattern], key=lambda ps: (sum(ps), ps)) == params, pattern
+        if len(params) == 2:  # "p >= q >= 1": the least accepted q
+            assert min(q for _, q in accepted[pattern]) == 1, pattern
+    sums = {sum(ps) for ps in accepted["so(p,q)"]}
+    assert "p+q odd >= 5 or even >= 8" in stated["so(p,q)"]
+    assert (min(n for n in sums if n % 2), min(n for n in sums if n % 2 == 0)) == (5, 8)
+    assert "n != 6" in stated["soC(n)"]
+    assert {(5,), (7,)} <= accepted["soC(n)"] and (6,) not in accepted["soC(n)"]
+    classical_or_complex = {pattern for pattern, text in stated.items() if text and "exceptional" not in text}
+    assert classical_or_complex == least.keys()
 
 
 def test_verify_specific_labels(capsys):

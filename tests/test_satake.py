@@ -21,8 +21,10 @@ from orbitspan.satake import (
     parse_label,
     satake_catalog,
     satake_to_dot,
+    split_label_of,
     underlying_type,
 )
+from orbitspan.spanverify import paper_basis
 
 from published_b import expected_b_form
 
@@ -54,6 +56,8 @@ def test_rejected_labels():
         "e6(5)",
         "f4(20)",
         "nonsense",
+        "sl(٣,R)",     # a non-ASCII digit
+        "su(٤,٢)",
     ]:
         with pytest.raises(LabelError):
             parse_label(text)
@@ -195,9 +199,15 @@ def test_catalog_examples_from_figures():
         "type": "B", "rank": 5, "black": [3, 4, 5], "arrows": []}
     assert satake_catalog(parse_label("e6(-26)")).to_json() == {
         "type": "E", "rank": 6, "black": [2, 3, 4, 6], "arrows": []}
-    # complex forms reduce to the split diagram
+    # complex forms reduce to the split diagram and the split form's published basis
     assert satake_catalog(parse_label("e6C")).to_json() == {
         "type": "E", "rank": 6, "black": [], "arrows": []}
+    complex_labels = [label for label in catalog_labels(24) if split_label_of(label) != label]
+    assert {label.kind for label in complex_labels} == {"slC", "soC", "spC", "e6C", "e7C", "e8C", "f4C", "g2C"}
+    for label in complex_labels:
+        split = split_label_of(label)
+        assert satake_catalog(label) == satake_catalog(split), str(label)
+        assert paper_basis(label) == paper_basis(split), str(label)
 
 
 def test_matches_examples():
