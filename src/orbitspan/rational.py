@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals (entries are ints or Fractions): one
 fraction-free integer elimination behind RREF, solving and kernels, and
-coordinate subspaces by union-find."""
+coordinate subspaces held as their node classes, found by union-find."""
 
 from __future__ import annotations
 
@@ -107,44 +107,43 @@ def independent_prefix(vectors: Iterable[Sequence[int]], stop_at: int | None = N
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    """A subspace of Q^n held as a canonical RREF basis of int or Fraction
-    entries; equality is structural (1 == Fraction(1))."""
+    """A coordinate subspace of Q^n held as its node classes: `classes[i]` is the
+    least node of i's class, or -1 on the zero class, where vectors are 0; they are
+    constant on the other classes.  Equality is structural (the class map is unique)."""
 
-    ambient_dimension: int
-    basis: tuple[Vec, ...]
+    classes: tuple[int, ...]
+
+    @property
+    def roots(self) -> list[int]:
+        return [i for i, c in enumerate(self.classes) if c == i]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.roots)
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 indicator of each class by least node: the canonical RREF basis."""
+        return tuple(tuple(int(c == r) for c in self.classes) for r in self.roots)
 
     def contains(self, vector: Sequence[Q]) -> bool:
-        """Membership by reduction against the RREF basis, in the entry types
-        given: integer vectors against an integer basis stay in `int`s."""
-        if len(vector) != self.ambient_dimension:
+        if len(vector) != len(self.classes):
             raise ValueError("vector has wrong ambient dimension")
-        residual = list(vector)
-        for row in self.basis:
-            pivot = next(c for c, x in enumerate(row) if x)
-            factor = residual[pivot]
-            if factor:
-                residual = [a - factor * b for a, b in zip(residual, row)]
-        return not any(residual)
+        return all(x == (vector[c] if c >= 0 else 0) for x, c in zip(vector, self.classes))
 
     def has_basis(self, vectors: Sequence[Sequence[int]]) -> bool:
-        """True iff the integer vectors are a basis: `dim` of them, independent
-        and each one in the subspace."""
-        return (
-            len(vectors) == self.dim
-            and all(self.contains(v) for v in vectors)
-            and len(independent_prefix(vectors)) == len(vectors)
-        )
+        """True iff the integer vectors are a basis: `dim` of them, each one in
+        the subspace, and independent on the class roots, which determine them."""
+        roots = self.roots
+        if len(vectors) != len(roots) or not all(self.contains(v) for v in vectors):
+            return False
+        return len(independent_prefix([v[r] for r in roots] for v in vectors)) == len(vectors)
 
 
 def coordinate_kernel(n: int, zero: Iterable[int] = (), equal: Iterable[tuple[int, int]] = ()) -> RationalSubspace:
-    """The subspace of Q^n cut out by x[i] = 0 for i in `zero` and x[i] = x[j]
-    for (i, j) in `equal`.  A union-find (Tarjan 1975) joins the `equal` pairs
-    into classes rooted at their least index; the basis is the 0/1 indicator of
-    each class without a `zero` node, by least index: the canonical RREF basis."""
+    """The subspace of Q^n cut out by x[i] = 0 for i in `zero` and x[i] = x[j] for (i, j)
+    in `equal`.  A union-find (Tarjan 1975) joins the `equal` pairs into classes rooted
+    at their least index; a class with a `zero` node is the zero class."""
     root = list(range(n))
 
     def find(i: int) -> int:
@@ -158,6 +157,4 @@ def coordinate_kernel(n: int, zero: Iterable[int] = (), equal: Iterable[tuple[in
         root[max(i, j)] = min(i, j)
     classes = [find(i) for i in range(n)]
     dead = {classes[i] for i in zero}
-    return RationalSubspace(
-        n, tuple(tuple(int(c == r) for c in classes) for r in sorted(set(classes) - dead))
-    )
+    return RationalSubspace(tuple(-1 if c in dead else c for c in classes))

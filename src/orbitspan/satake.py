@@ -292,10 +292,12 @@ class SatakeDiagram:
 
 @lru_cache(maxsize=None)
 def satake_catalog(label: RealFormLabel) -> SatakeDiagram:
-    """The Satake diagram of a real form, drawn by its kind.  This is where a
-    label is checked: raises LabelError for compact forms, non-simple cases,
-    low-rank aliases, a signature written p < q and a rank over MAX_RANK."""
+    """The Satake diagram of a real form, drawn by its kind.  This is where a label
+    is checked: raises LabelError for a parameter count its kind does not take, compact
+    forms, non-simple cases, low-rank aliases, a signature written p < q and a rank over MAX_RANK."""
     _need(label.kind in KINDS, f"unknown label kind {label.kind!r}")
+    arity = KINDS[label.kind].format.count("{}")  # str(label) needs this many parameters too
+    _need(len(label.params) == arity, f"label kind {label.kind!r} takes {arity} parameters, not {len(label.params)}")
     try:
         family, rank, black, arrows = KINDS[label.kind].draw(*label.params)
     except LabelError as exc:

@@ -5,12 +5,10 @@ candidate is kept iff the dimension grows."""
 
 from rref_reference import span_of
 
-from orbitspan.rational import RationalSubspace
-
 
 def greedy_reference(vectors, l):
     """Indices of the first independent spanning subset, and its span."""
-    span = RationalSubspace(l, ())
+    span = span_of(l, [])
     picked = []
     for k, v in enumerate(vectors):
         bigger = span_of(l, list(span.basis) + [v])

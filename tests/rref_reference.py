@@ -1,8 +1,11 @@
-"""Reference for `rational.rref`: the `Fraction` Gauss-Jordan loop that the
-shared fraction-free elimination replaced, kept verbatim, and the kernel,
-span and particular solution read off it; and the `Fraction` vectors and
-RREF spans that the tests build their expectations from."""
+"""References for `rational`: the `Fraction` Gauss-Jordan loop that the shared
+fraction-free elimination behind `rational.rref` replaced, kept verbatim, and
+the kernel and particular solution read off it; and the general subspace that
+`rational.RationalSubspace` specialized to coordinate subspaces, held as a
+canonical RREF basis of int or `Fraction` rows, which `span_of` builds.  The
+tests compare the class map of `coordinate_kernel` against that span."""
 
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
@@ -14,9 +17,43 @@ def vec(values: Iterable) -> tuple[Q, ...]:
     return tuple(Q(v) for v in values)
 
 
-def span_of(ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> rational.RationalSubspace:
+@dataclass(frozen=True)
+class RrefSpan:
+    """A subspace of Q^n held as a canonical RREF basis of int or Fraction
+    entries; equality is structural (1 == Fraction(1))."""
+
+    ambient_dimension: int
+    basis: tuple[tuple[Q, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, vector: Sequence[Q]) -> bool:
+        """Membership by reduction against the RREF basis."""
+        if len(vector) != self.ambient_dimension:
+            raise ValueError("vector has wrong ambient dimension")
+        residual = list(vector)
+        for row in self.basis:
+            pivot = next(c for c, x in enumerate(row) if x)
+            factor = residual[pivot]
+            if factor:
+                residual = [a - factor * b for a, b in zip(residual, row)]
+        return not any(residual)
+
+    def has_basis(self, vectors: Sequence[Sequence[int]]) -> bool:
+        """True iff the integer vectors are a basis: `dim` of them, independent
+        and each one in the subspace."""
+        return (
+            len(vectors) == self.dim
+            and all(self.contains(v) for v in vectors)
+            and len(rational.independent_prefix(vectors)) == len(vectors)
+        )
+
+
+def span_of(ambient_dimension: int, vectors: Iterable[Sequence[Q]]) -> RrefSpan:
     """The span of the vectors, held as its canonical basis from `rational.rref`."""
-    return rational.RationalSubspace(ambient_dimension, tuple(tuple(r) for r in rational.rref(vectors)))
+    return RrefSpan(ambient_dimension, tuple(tuple(r) for r in rational.rref(vectors)))
 
 
 def rref(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:

@@ -1,5 +1,5 @@
 """Exact linear algebra: RREF canonicalization, kernels, coordinate subspaces
-and the basis predicate."""
+held as node classes against the reference RREF span, and the basis predicate."""
 
 from fractions import Fraction as Q
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greedy_reference import greedy_reference
-from rref_reference import nullspace_reference, rref_solution, span_of, vec
+from rref_reference import RrefSpan, nullspace_reference, rref_solution, span_of, vec
 from rref_reference import rref as rref_reference
 from orbitspan.rational import (
     RationalSubspace,
@@ -54,27 +54,34 @@ def test_subspace_equality_is_structural():
     s2 = span_of(3, [vec([2, 2, 2]), vec([0, 0, 5]), vec([1, 1, 1])])
     assert s1 == s2
     assert s1.dim == 2
+    k = coordinate_kernel(5, zero=[4], equal=[(0, 2), (2, 3)])
+    assert k == coordinate_kernel(5, zero=[4, 4], equal=[(3, 0), (2, 0), (1, 1)])
+    assert k != coordinate_kernel(5, zero=[4], equal=[(0, 2)])
 
 
 def test_coordinate_kernel():
     s = coordinate_kernel(5, zero=[1], equal=[(0, 3), (3, 4)])
     rows = [vec([0, 1, 0, 0, 0]), vec([1, 0, 0, -1, 0]), vec([0, 0, 0, 1, -1])]
-    assert s == span_of(5, nullspace_reference(rows, 5))
+    assert s.classes == (0, -1, 2, 0, 0)
+    assert s.basis == span_of(5, nullspace_reference(rows, 5)).basis
     assert s.basis == (vec([1, 0, 0, 1, 1]), vec([0, 0, 1, 0, 0]))
     assert coordinate_kernel(3).basis == (vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
-    assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace(2, ())
+    assert coordinate_kernel(2, zero=[0], equal=[(0, 1)]) == RationalSubspace((-1, -1))
 
 
 def test_full_and_zero():
     assert coordinate_kernel(5).dim == 5
-    assert RationalSubspace(5, ()).dim == 0
-    assert RationalSubspace(5, ()).contains(vec([0] * 5))
-    assert not RationalSubspace(5, ()).contains([0, 0, 1, 0, 0])
+    for zero in (coordinate_kernel(5, zero=range(5)), span_of(5, [])):
+        assert zero.dim == 0
+        assert zero.basis == ()
+        assert zero.contains(vec([0] * 5))
+        assert not zero.contains([0, 0, 1, 0, 0])
 
 
 def test_contains_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        coordinate_kernel(3).contains(vec([1, 2]))
+    for s in (coordinate_kernel(3), coordinate_kernel(3, zero=[0, 1, 2]), span_of(3, [])):
+        with pytest.raises(ValueError):
+            s.contains(vec([1, 2]))
 
 
 @st.composite
@@ -103,13 +110,50 @@ def coordinate_constraints(draw):
     return n, zero, equal
 
 
-@given(coordinate_constraints())
-def test_coordinate_kernel_agrees_with_nullspace_reference(case):
+@given(coordinate_constraints(), st.data())
+def test_coordinate_kernel_agrees_with_nullspace_reference(case, data):
+    """The class map against the RREF span of the reference kernel: dimension,
+    basis, membership and the basis predicate."""
     n, zero, equal = case
     rows = [[int(c == i) for c in range(n)] for i in zero]
     rows += [[int(c == i) - int(c == j) for c in range(n)] for i, j in equal]
     expected = span_of(n, nullspace_reference(rows, n))
-    assert coordinate_kernel(n, zero, equal) == expected
+    s = coordinate_kernel(n, zero, equal)
+    assert len(s.classes) == expected.ambient_dimension
+    assert s.dim == expected.dim
+    assert s.basis == expected.basis
+    small = st.integers(min_value=-3, max_value=3)
+
+    def combination(basis):
+        coefficients = data.draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        return [sum(c * row[i] for c, row in zip(coefficients, basis)) for i in range(n)]
+
+    def perturbed(v):
+        if n:
+            v = list(v)
+            v[data.draw(st.integers(min_value=0, max_value=n - 1))] += data.draw(st.sampled_from([-1, 1]))
+        return v
+
+    member = combination(s.basis)
+    assert s.contains(member)
+    for v in (member, perturbed(member), data.draw(st.lists(small, min_size=n, max_size=n))):
+        assert s.contains(v) == expected.contains(v)
+
+    basis = [list(row) for row in s.basis]
+    shuffled = data.draw(st.permutations(basis))
+    mixed = [list(row) for row in shuffled]
+    for k in range(1, len(mixed)):  # row operations, so still a basis
+        c = data.draw(small)
+        mixed[k] = [x + c * y for x, y in zip(mixed[k], mixed[k - 1])]
+    assert s.has_basis(basis) and s.has_basis(shuffled) and s.has_basis(mixed)
+    candidates = [basis[:-1], basis + [member]]
+    if basis:
+        k = data.draw(st.integers(min_value=0, max_value=len(basis) - 1))
+        dependent = [*mixed[:k], combination(mixed[:k] + mixed[k + 1 :]), *mixed[k + 1 :]]
+        assert not s.has_basis(dependent)
+        candidates += [dependent, [*mixed[:k], perturbed(mixed[k]), *mixed[k + 1 :]]]
+    for vectors in candidates:
+        assert s.has_basis(vectors) == expected.has_basis(vectors)
 
 
 def test_coordinate_kernel_class_order_and_entries():
@@ -130,8 +174,9 @@ def test_has_basis_examples():
     assert not b.has_basis([(1, 0, 1, 0)])  # too few
     assert not b.has_basis([(1, 0, 1, 0), (0, 1, 0, 0), (1, 1, 1, 0)])  # too many
     assert not b.has_basis([(1, 0, 1, 0), (2, 0, 2, 0)])  # dependent
-    assert RationalSubspace(3, ()).has_basis([])
-    assert not RationalSubspace(3, ()).has_basis([(0, 0, 0)])
+    zero = coordinate_kernel(3, zero=range(3))
+    assert zero.has_basis([])
+    assert not zero.has_basis([(0, 0, 0)])
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -179,7 +224,7 @@ def test_rref_edge_cases():
     assert rref([]) == []
     assert rref([[0, 0], [Q(0), 0]]) == []
     assert nullspace([], 2) == [vec([1, 0]), vec([0, 1])]
-    assert span_of(3, []) == RationalSubspace(3, ())
+    assert span_of(3, []) == RrefSpan(3, ())
     assert rref([[0, Q(1, 2), 1], [3, 0, 0], [0, 2, 4]]) == [[1, 0, 0], [0, 1, 2]]
 
 

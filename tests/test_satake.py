@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from math import lcm
 
 import pytest
@@ -167,6 +168,11 @@ def test_hand_built_labels_are_checked_by_the_catalog():
     with pytest.raises(LabelError, match="unknown label kind"):
         satake_catalog(RealFormLabel("xy", (3,)))
     assert underlying_type(RealFormLabel("su", (4, 2))) == SimpleType("A", 5)
+    # a parameter count the kind does not take, which its draw and str() cannot handle
+    for kind, params, arity in [("sl", (3, 4), 1), ("sl", (), 1), ("su", (3,), 2), ("e6", (), 1), ("e6C", (6,), 0)]:
+        message = f"label kind {kind!r} takes {arity} parameters, not {len(params)}"
+        with pytest.raises(LabelError, match=re.escape(message)):
+            satake_catalog(RealFormLabel(kind, params))
 
 
 def test_alias_rejections_mention_the_alias():
@@ -277,7 +283,9 @@ def test_expected_b_form_examples():
 
 
 def test_b_subspace_equals_published_form_for_whole_catalog():
-    for label in catalog_labels(12):
+    labels = catalog_labels(40)
+    assert len(labels) == 2761
+    for label in labels:
         assert b_subspace(label) == expected_b_form(label), str(label)
 
 
