@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Optional
 
-from .nilorbits import orbit_diagram_json
+from .nilorbits import OrbitDiagram
 from .pairs import lookup_pair, pairs_for, proper_sl2_pairs, table_csv
 from .satake import (
     KINDS,
@@ -26,6 +29,11 @@ from .spanverify import h_n_a_plus, verify_theorem
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
+
+# Most orbits formatted into one write, so a listing holds tens of KB of text
+# at a time, whatever its length; 256 measured leaner than 1,024 on large labels.
+ORBIT_BATCH = 256
 
 
 def _json_dumps(obj) -> str:
@@ -49,6 +57,36 @@ def _output(out: Optional[str]) -> Iterator[Callable[[str], object]]:
 def _write(out: Optional[str], text: str) -> None:
     with _output(out) as write:
         write(text)
+
+
+def _orbit_json(od: OrbitDiagram, witness=None) -> str:
+    """One orbit's record, the bytes `_json_dumps` gives its dict, with the
+    sl2 witness when given."""
+    label = encode_basestring_ascii(od.label)  # what json.dumps writes for a str
+    weights = str(list(od.diagram.weights)).replace(" ", "")  # an int list prints a space only after each comma
+    more = "" if witness is None else ',"witness":' + _json_dumps(witness.to_json())
+    return '{"label":%s,"weights":%s%s}' % (label, weights, more)
+
+
+def _weights_text(od: OrbitDiagram) -> str:
+    return " ".join(map(str, od.diagram.weights))
+
+
+def _write_listing(write: Callable[[str], object], head: str, rows: Iterable[str], sep: str, tail: str) -> None:
+    """Write head, the rows joined by sep, then tail, with at most ORBIT_BATCH
+    rows per write; a listing of one batch is one write."""
+    rows = iter(rows)
+    text = head + sep.join(islice(rows, ORBIT_BATCH))
+    while batch := list(islice(rows, ORBIT_BATCH)):
+        write(text)
+        text = sep + sep.join(batch)
+    write(text + tail)
+
+
+def _write_json_listing(write: Callable[[str], object], record: dict, orbits: Iterable[str]) -> None:
+    """Write the record, with the encoded orbits as its "orbits" list, as one line of `_json_dumps` bytes."""
+    head, _, tail = _json_dumps({**record, "orbits": []}).partition('"orbits":[]')
+    _write_listing(write, head + '"orbits":[', orbits, ",", "]" + tail + "\n")
 
 
 def cmd_forms(args) -> int:
@@ -75,23 +113,21 @@ def _resolve_labels(args) -> list[RealFormLabel]:
     return [parse_label(text) for text in args.labels]
 
 
-def _report_lines(report, args) -> list[str]:
+def _write_report(write: Callable[[str], object], report, args) -> None:
     if args.format == "json":
-        record = report.to_json()
         if args.verbose:
-            record["orbits"] = [orbit_diagram_json(od) for od in report.matching_orbits]
-        return [_json_dumps(record)]
+            _write_json_listing(write, report.to_json(), map(_orbit_json, report.matching_orbits))
+        else:
+            write(_json_dumps(report.to_json()) + "\n")
+        return
     status = "ok" if report.verified else "FAILED"
-    lines = [
+    line = (
         f"{report.label!s:12s} {report.simple_type} dim_b={report.dim_b} "
         f"dim_span={report.dim_span} theorem={report.theorem_holds} "
         f"inclusion={report.easy_inclusion_holds} basis=[{', '.join(report.greedy_basis)}] {status}"
-    ]
-    if args.verbose:
-        lines.extend(
-            f"    {od.label:16s} " + " ".join(str(w) for w in od.diagram.weights) for od in report.matching_orbits
-        )
-    return lines
+    )
+    rows = (f"\n    {od.label:16s} {_weights_text(od)}" for od in report.matching_orbits) if args.verbose else ()
+    _write_listing(write, line, rows, "", "\n")
 
 
 def cmd_verify(args) -> int:
@@ -105,7 +141,7 @@ def cmd_verify(args) -> int:
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from exc
             all_ok = all_ok and report.verified
-            write("\n".join(_report_lines(report, args)) + "\n")
+            _write_report(write, report, args)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 
@@ -125,26 +161,19 @@ def cmd_orbits(args) -> int:
         if not all(ok for ok, _ in witnesses):
             print("error: an enumerated diagram failed oracle certification", file=sys.stderr)
             return EXIT_VERIFICATION_FAILED
-    if args.format == "json":
-        payload = {
-            "label": str(label),
-            "type": t.family,
-            "rank": t.rank,
-            "orbits": [orbit_diagram_json(od) for od in matching],
-        }
-        if witnesses is not None:
-            for record, (_, witness) in zip(payload["orbits"], witnesses):
-                record["witness"] = witness.to_json()
-        _write(args.out, _json_dumps(payload) + "\n")
-    else:
-        width = max(len(od.label) for od in matching)
-        lines = []
-        for od in matching:
-            line = f"{od.label:{width}s}  " + " ".join(str(w) for w in od.diagram.weights)
-            if witnesses is not None:
-                line += "  [certified]"
-            lines.append(line)
-        _write(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as write:
+        if args.format == "json":
+            record = {"label": str(label), "type": t.family, "rank": t.rank}
+            if witnesses is None:
+                orbits = map(_orbit_json, matching)
+            else:
+                orbits = (_orbit_json(od, witness) for od, (_, witness) in zip(matching, witnesses))
+            _write_json_listing(write, record, orbits)
+        else:
+            width = max(len(od.label) for od in matching)
+            mark = "  [certified]" if witnesses is not None else ""
+            rows = (f"{od.label:{width}s}  {_weights_text(od)}{mark}\n" for od in matching)
+            _write_listing(write, "", rows, "", "")
     return EXIT_OK
 
 
@@ -241,10 +270,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left is met here, not at the interpreter's exit
+        return code
     except ValueError as exc:  # LabelError included; also an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the exit flushes stdout again; point it at devnull so that flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -193,7 +193,3 @@ def enumerate_complex_characteristics(t: SimpleType) -> tuple[OrbitDiagram, ...]
     if t.family in EXCEPTIONAL:
         return tuple(exceptional_table(t))
     return orbit_diagrams(t)
-
-
-def orbit_diagram_json(od: OrbitDiagram) -> dict:
-    return {"label": od.label, "weights": list(od.diagram.weights)}

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import orbitspan
 from orbitspan import cli
-from orbitspan.cli import main
-from orbitspan.satake import LabelError, catalog_labels, parse_label
+from orbitspan.cli import _orbit_json, _write_listing, main
+from orbitspan.nilorbits import exceptional_table
+from orbitspan.rootcore import SimpleType
+from orbitspan.satake import LabelError, catalog_labels, parse_label, underlying_type
+from orbitspan.spanverify import h_n_a_plus, verify_theorem
 
 
 def run_cli(args):
@@ -437,3 +441,100 @@ def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):
     assert main(["verify", "g2(2)", "--format", "json", "--out", str(out_file)]) == 1
     record = json.loads(out_file.read_text())
     assert record["label"] == "g2(2)" and record["theorem_holds"] is False
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def orbit_record(od):
+    """An orbit's record as the listings once built it, a dict encoded by `_dumps`."""
+    return {"label": od.label, "weights": list(od.diagram.weights)}
+
+
+def test_orbit_json_equals_the_encoded_record():
+    orbits = [od for label in catalog_labels(12) for od in h_n_a_plus(label)]
+    for family, rank in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)):
+        orbits.extend(exceptional_table(SimpleType(family, rank)))
+    assert len(orbits) > 17_000
+    for od in orbits:
+        assert _orbit_json(od) == _dumps(orbit_record(od)), od
+
+
+# g2(2) escapes its label \u00c3_1; so(4,4) and so(8,8) carry _I/_II tags;
+# sl(26,R) lists 2,436 orbits, ten batches
+LISTED = ("g2(2)", "so(4,4)", "so(8,8)", "sl(26,R)")
+
+
+def test_listings_equal_the_encoded_payloads(capsys):
+    for text in LISTED:
+        label = parse_label(text)
+        t, matching = underlying_type(label), h_n_a_plus(label)
+        payload = {"label": text, "type": t.family, "rank": t.rank, "orbits": [orbit_record(od) for od in matching]}
+        assert main(["orbits", text, "--format", "json"]) == 0
+        assert capsys.readouterr().out == _dumps(payload) + "\n", text
+        width = max(len(od.label) for od in matching)
+        lines = [f"{od.label:{width}s}  " + " ".join(str(w) for w in od.diagram.weights) for od in matching]
+        assert main(["orbits", text]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", text
+        report = verify_theorem(label)
+        record = {**report.to_json(), "orbits": [orbit_record(od) for od in matching]}
+        assert main(["verify", text, "--format", "json", "--verbose"]) == 0
+        assert capsys.readouterr().out == _dumps(record) + "\n", text
+        assert main(["verify", text]) == 0
+        header = capsys.readouterr().out.rstrip("\n")
+        lines = [f"    {od.label:16s} " + " ".join(str(w) for w in od.diagram.weights) for od in matching]
+        assert main(["verify", text, "--verbose"]) == 0
+        assert capsys.readouterr().out == "\n".join([header, *lines]) + "\n", text
+
+
+def test_listing_writes_at_most_one_batch_of_rows(monkeypatch, capsys):
+    argvs = (["orbits", "g2(2)"], ["orbits", "g2(2)", "--format", "json"], ["verify", "so(4,4)", "--verbose"])
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    for batch in (1, 2, 3, 5):
+        monkeypatch.setattr(cli, "ORBIT_BATCH", batch)
+        for argv, out in zip(argvs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out, (argv, batch)
+    monkeypatch.setattr(cli, "ORBIT_BATCH", 2)
+    for rows, writes in (("abcde", ["[a,b", ",c,d", ",e]"]), ("abcd", ["[a,b", ",c,d]"]), ("", ["[]"])):
+        written = []
+        _write_listing(written.append, "[", rows, ",", "]")
+        assert written == writes, rows
+
+
+def test_verbose_report_costs_no_memory(tmp_path):
+    """With warm caches, the verbose JSON report of sl(26,R), 213 KB, is
+    written with under 1 MB of traced allocations (4.5 MB when the whole
+    record was one encoded dict), and so is that of sl(30,R), 2.3 times as
+    many orbits (1.7 MB when the whole listing was one joined string)."""
+    out = str(tmp_path / "r.json")
+    for label in ("sl(26,R)", "sl(30,R)"):
+        assert main(["verify", label, "--format", "json", "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", label, "--format", "json", "--verbose", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(out) > 200_000
+        assert peak < 1_000_000, (label, peak)
+
+
+def test_reader_that_leaves_early_is_not_a_failure():
+    src = os.path.dirname(os.path.dirname(orbitspan.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitspan.cli", "verify", "--all", "--bound", "12", "--format", "json", "--verbose"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(50).startswith(b'{"basis":')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Error" not in err, err
