@@ -13,7 +13,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
 
 from .nilorbits import OrbitDiagram
-from .pairs import lookup_pair, pairs_for, proper_sl2_pairs, table_csv
 from .satake import (
     KINDS,
     LabelError,
@@ -187,6 +186,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    from .pairs import lookup_pair, pairs_for, proper_sl2_pairs, table_csv
+
     if args.h is not None and args.g is None:
         raise ValueError("--h needs --g: a subalgebra is looked up within one algebra")
     if args.h is not None:

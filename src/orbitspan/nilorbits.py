@@ -3,10 +3,9 @@ the classical types, embedded tables for the exceptional types."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import exceptional_data
 from .rootcore import SimpleType, WeightedDiagram
@@ -15,17 +14,21 @@ CLASSICAL = ("A", "B", "C", "D")
 EXCEPTIONAL = ("E", "F", "G")
 
 
-@dataclass(frozen=True)
-class OrbitDiagram:
-    """A weighted Dynkin diagram tagged with its complex-orbit label."""
-
+class _OrbitDiagramFields(NamedTuple):
     label: str  # a partition label, e.g. "[3,1^2]", or a Bala-Carter name
     diagram: WeightedDiagram
 
-    def __post_init__(self):
-        for w in self.diagram.weights:
+
+class OrbitDiagram(_OrbitDiagramFields):
+    """A weighted Dynkin diagram tagged with its complex-orbit label."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, diagram: WeightedDiagram):
+        for w in diagram.weights:
             if not 0 <= w <= 2:
                 raise ValueError(f"orbit diagram weights must be 0, 1 or 2; got {w}")
+        return super().__new__(cls, label, diagram)
 
 
 def defining_size(t: SimpleType) -> int:

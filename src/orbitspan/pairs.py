@@ -8,9 +8,8 @@ row's patterns and solves the resulting linear parameter equations with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .rational import solve
 
@@ -99,8 +98,7 @@ def _solve_in_domain(equations: list[Equation]) -> Optional[dict[str, int]]:
     return env if env is not None and all(env[v] >= _DOMAINS[v] for v in env) else None
 
 
-@dataclass(frozen=True)
-class SymmetricPairEntry:
+class SymmetricPairEntry(NamedTuple):
     """One row of the classification table, with free integer parameters."""
 
     g: str

@@ -4,10 +4,9 @@ coordinate subspaces held as their node classes, found by union-find."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Q, ...]
 
@@ -105,8 +104,7 @@ def independent_prefix(vectors: Iterable[Sequence[int]], stop_at: int | None = N
     return _echelon(vectors, stop_at)[0]
 
 
-@dataclass(frozen=True)
-class RationalSubspace:
+class RationalSubspace(NamedTuple):
     """A coordinate subspace of Q^n held as its node classes: `classes[i]` is the
     least node of i's class, or -1 on the zero class, where vectors are 0; they are
     constant on the other classes.  Equality is structural (the class map is unique)."""

@@ -10,46 +10,51 @@ Node ordering convention (frozen; every table in this package depends on it):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A complex simple Lie algebra type, e.g. SimpleType('D', 5)."""
-
+# A NamedTuple may not define __new__, so each validating record checks its
+# fields in the __new__ of a subclass of its fields tuple.
+class _SimpleTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        rank = self.rank
-        if self.family in _MIN_RANK:
-            low = _MIN_RANK[self.family]
+
+class SimpleType(_SimpleTypeFields):
+    """A complex simple Lie algebra type, e.g. SimpleType('D', 5)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if family in _MIN_RANK:
+            low = _MIN_RANK[family]
             if rank < low:
                 hint = ""
-                if self.family == "B" and rank == 1:
+                if family == "B" and rank == 1:
                     hint = " (B_1 is excluded; use A_1)"
-                elif self.family == "C" and rank == 1:
+                elif family == "C" and rank == 1:
                     hint = " (C_1 is excluded; use A_1)"
-                elif self.family == "D" and rank == 3:
+                elif family == "D" and rank == 3:
                     hint = " (D_3 is excluded; use A_3)"
-                elif self.family == "D" and rank == 2:
+                elif family == "D" and rank == 2:
                     hint = " (D_2 is not simple)"
-                raise ValueError(f"{self.family}_{rank} is not supported{hint}")
-        elif self.family == "E":
+                raise ValueError(f"{family}_{rank} is not supported{hint}")
+        elif family == "E":
             if rank not in (6, 7, 8):
                 raise ValueError(f"E_{rank} does not exist; rank must be 6, 7 or 8")
-        elif self.family == "F":
+        elif family == "F":
             if rank != 4:
                 raise ValueError("F family has rank 4 only")
-        elif self.family == "G":
+        elif family == "G":
             if rank != 2:
                 raise ValueError("G family has rank 2 only")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -115,8 +120,7 @@ def simple_root_norms(t: SimpleType) -> tuple[int, ...]:
     return tuple(2 * d[i] // scale for i in range(l))
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     """Cartan matrix plus the positive roots in the simple-root basis."""
 
     simple_type: SimpleType
@@ -149,43 +153,50 @@ def build_root_system(t: SimpleType) -> RootSystemData:
     return RootSystemData(t, a, tuple(positives))
 
 
-@dataclass(frozen=True)
-class WeightedDiagram:
-    """Integer weights on the Dynkin diagram nodes: the Psi-coordinates of a
-    Cartan element.  An integral Fraction weight is stored as its int."""
-
+class _WeightedDiagramFields(NamedTuple):
     simple_type: SimpleType
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        weights = tuple(self.weights)
-        if len(weights) != self.simple_type.rank:
+
+class WeightedDiagram(_WeightedDiagramFields):
+    """Integer weights on the Dynkin diagram nodes: the Psi-coordinates of a
+    Cartan element.  An integral Fraction weight is stored as its int."""
+
+    __slots__ = ()
+
+    def __new__(cls, simple_type: SimpleType, weights: tuple[int, ...]):
+        weights = tuple(weights)
+        if len(weights) != simple_type.rank:
             raise ValueError("weight count does not match rank")
         if any(type(w) is not int for w in weights):
             if not all(getattr(w, "denominator", 0) == 1 for w in weights):
                 raise ValueError(f"diagram weights must be integers; got {weights}")
             weights = tuple(w.numerator for w in weights)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, simple_type, weights)
 
 
-@dataclass(frozen=True)
-class DiagramInvolution:
-    """A self-inverse node permutation preserving the Cartan matrix (0-based)."""
-
+class _DiagramInvolutionFields(NamedTuple):
     simple_type: SimpleType
     permutation: tuple[int, ...]
 
-    def __post_init__(self):
-        perm = self.permutation
-        if sorted(perm) != list(range(self.simple_type.rank)):
+
+class DiagramInvolution(_DiagramInvolutionFields):
+    """A self-inverse node permutation preserving the Cartan matrix (0-based)."""
+
+    __slots__ = ()
+
+    def __new__(cls, simple_type: SimpleType, permutation: tuple[int, ...]):
+        perm = permutation
+        if sorted(perm) != list(range(simple_type.rank)):
             raise ValueError("not a permutation of the nodes")
         if any(perm[perm[i]] != i for i in range(len(perm))):
             raise ValueError("permutation is not an involution")
-        a = cartan_matrix(self.simple_type)
+        a = cartan_matrix(simple_type)
         for i in range(len(perm)):
             for j in range(len(perm)):
                 if a[i][j] != a[perm[i]][perm[j]]:
                     raise ValueError("permutation does not preserve the Cartan matrix")
+        return super().__new__(cls, simple_type, permutation)
 
 
 def _dominantize(psi: list, a) -> list:

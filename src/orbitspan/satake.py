@@ -5,9 +5,8 @@ Then the matching predicate and the subspaces of diagram space it cuts out."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .nilorbits import partition_label
 from .rational import RationalSubspace, coordinate_kernel
@@ -21,8 +20,7 @@ class LabelError(ValueError):
 MAX_RANK = 1000  # higher ranks are rejected before black nodes and arrows are drawn
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One real-form kind; its functions take a label's parameters.  The candidate
     rules come from the form's signed Young diagrams (Collingwood-McGovern 9.3)."""
 
@@ -183,8 +181,7 @@ def _complex_exceptional(name: str) -> Kind:
     return _complex(name + "C", lambda: split, pattern, "complex exceptional algebras viewed as real", finite=((),))
 
 
-@dataclass(frozen=True, order=True)
-class RealFormLabel:
+class RealFormLabel(NamedTuple):
     """A catalog label such as su(4,2), so*(12), e7(-5) or slC(4)."""
 
     kind: str
@@ -258,28 +255,32 @@ def underlying_type(label: RealFormLabel) -> SimpleType:
     return satake_catalog(label).simple_type
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
-    """Black nodes and the arrow involution on white nodes (0-based indices)."""
-
+class _SatakeDiagramFields(NamedTuple):
     simple_type: SimpleType
     black_nodes: frozenset[int]
     arrows: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        l = self.simple_type.rank
-        for b in self.black_nodes:
+
+class SatakeDiagram(_SatakeDiagramFields):
+    """Black nodes and the arrow involution on white nodes (0-based indices)."""
+
+    __slots__ = ()
+
+    def __new__(cls, simple_type: SimpleType, black_nodes: frozenset[int], arrows: tuple[tuple[int, int], ...]):
+        l = simple_type.rank
+        for b in black_nodes:
             if not 0 <= b < l:
                 raise ValueError("black node out of range")
         seen = set()
-        for i, j in self.arrows:
+        for i, j in arrows:
             if i == j or not (0 <= i < l and 0 <= j < l):
                 raise ValueError("arrow must join two distinct nodes")
-            if i in self.black_nodes or j in self.black_nodes:
+            if i in black_nodes or j in black_nodes:
                 raise ValueError("arrows join only white nodes")
             if i in seen or j in seen:
                 raise ValueError("arrow relation must be fixed-point-free on its support")
             seen.update((i, j))
+        return super().__new__(cls, simple_type, black_nodes, arrows)
 
     def to_json(self) -> dict:
         return {

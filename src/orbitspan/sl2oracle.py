@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .rational import independent_prefix, solve
 from .rootcore import RootSystemData, SimpleType, WeightedDiagram, build_root_system, simple_root_norms
@@ -147,8 +146,7 @@ def build_chevalley(t: SimpleType, max_rank: int = DEFAULT_RANK_BOUND) -> Cheval
     return _cached_model(t)
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(NamedTuple):
     """An exact sl2 triple certifying a characteristic."""
 
     h: WeightedDiagram

@@ -4,8 +4,7 @@ must span exactly the (-w0)-fixed subspace."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .nilorbits import OrbitDiagram, enumerate_complex_characteristics, orbit_diagrams
 from .rational import independent_prefix
@@ -22,8 +21,7 @@ from .satake import (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     label: RealFormLabel
     simple_type: SimpleType
     matching_orbits: tuple[OrbitDiagram, ...]
@@ -76,7 +74,7 @@ def check_easy_inclusion(t: SimpleType, matching: Iterable[OrbitDiagram]) -> boo
     """Every matching diagram is fixed by the opposition involution of `t`."""
     perm = opposition_involution(t).permutation
     swapped = [(i, j) for i, j in enumerate(perm) if i < j]
-    return all(od.diagram.weights[i] == od.diagram.weights[j] for od in matching for i, j in swapped)
+    return all(w[i] == w[j] for w in (od.diagram.weights for od in matching) for i, j in swapped)
 
 
 def greedy_basis_of(

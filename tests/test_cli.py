@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import orbitspan
 from orbitspan import cli
@@ -434,7 +433,7 @@ def test_ladder_reference_bytes(capsys):
 
 def test_failed_verification_exits_one(monkeypatch, capsys, tmp_path):
     real = cli.verify_theorem
-    monkeypatch.setattr(cli, "verify_theorem", lambda label: replace(real(label), theorem_holds=False))
+    monkeypatch.setattr(cli, "verify_theorem", lambda label: real(label)._replace(theorem_holds=False))
     assert main(["verify", "g2(2)"]) == 1
     assert capsys.readouterr().out.rstrip("\n").endswith("FAILED")
     out_file = tmp_path / "r.json"

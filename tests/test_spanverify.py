@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -270,4 +269,4 @@ def test_verdict_fails_when_any_check_fails():
     report = verify_theorem(parse_label("su(3,1)"))
     assert report.verified is True
     for field in ("theorem_holds", "easy_inclusion_holds", "paper_basis_verified"):
-        assert replace(report, **{field: False}).verified is False, field
+        assert report._replace(**{field: False}).verified is False, field
