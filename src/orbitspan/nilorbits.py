@@ -8,7 +8,7 @@ from itertools import groupby, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import exceptional_data
-from .rootcore import SimpleType, WeightedDiagram
+from .rootcore import SimpleType, WeightedDiagram, checked_make
 
 CLASSICAL = ("A", "B", "C", "D")
 EXCEPTIONAL = ("E", "F", "G")
@@ -23,6 +23,7 @@ class OrbitDiagram(_OrbitDiagramFields):
     """A weighted Dynkin diagram tagged with its complex-orbit label."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, label: str, diagram: WeightedDiagram):
         for w in diagram.weights:

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from itertools import permutations, product
+from typing import Callable, NamedTuple, Optional
 
 from .rational import solve
 
 Summand = tuple[str, tuple[int, ...], Optional[str]]  # (head, args, field)
 Equation = tuple[dict[str, int], int]  # (linear form {var: coeff, "": const}, value)
 
-_SYMBOL_RE = re.compile(r"^\s*(e6|e7|e8|f4|g2|sl|su\*|su|so\*|so|sp)\s*(C)?\s*(?:\(([^()]*)\))?\s*$")
+# Exceptional heads: their signatures, as in e6(-14), may be negative, where a
+# classical summand's arguments may not.
+_EXCEPTIONAL = ("e6", "e7", "e8", "f4", "g2")
+_SYMBOL_RE = re.compile(r"^\s*(" + "|".join(_EXCEPTIONAL) + r"|sl|su\*|su|so\*|so|sp)\s*(C)?\s*(?:\(([^()]*)\))?\s*$")
 
 
 def _pieces(text: str) -> tuple[str, list[str], Optional[str]]:
@@ -66,36 +70,20 @@ def _equations(pattern: str, concrete: Summand) -> list[list[Equation]]:
     return [list(zip(forms, args)) for args in dict.fromkeys((cargs, cargs[::-1]))]
 
 
-def _placements(pats, items, equations: list[Equation]) -> Iterator[list[Equation]]:
-    """Every placement of the concrete summands on the patterns, one summand per
-    pattern, taken pattern by pattern and item by item."""
-    if not pats:
-        yield equations
-        return
-    for idx, item in enumerate(items):
-        for eqs in _equations(pats[0], item):
-            yield from _placements(pats[1:], items[:idx] + items[idx + 1 :], equations + eqs)
+_DOMAINS = {"k": 1, "m": 1, "n": 2, "p": 1, "q": 1, "i": 0, "j": 0}
 
 
 def _solve(equations: list[Equation]) -> Optional[dict[str, int]]:
     """The parameter values solving every equation by `rational.solve`, or None
-    when the system is inconsistent or its solution is not integral.  A free
-    parameter would be set to 0; every row's equations have full column rank."""
+    when the system is inconsistent, its solution is not integral or some
+    parameter lies below its domain.  A free parameter would be set to 0;
+    every row's equations have full column rank."""
     names = list(dict.fromkeys(var for form, _ in equations for var in form if var))
     rows = [[form.get(var, 0) for var in names] for form, _ in equations]
     x = solve(rows, [value - form.get("", 0) for form, value in equations]) if equations else []
-    if x is None or any(c.denominator != 1 for c in x):
+    if x is None or any(c.denominator != 1 or c < _DOMAINS[var] for var, c in zip(names, x)):
         return None
     return {var: int(c) for var, c in zip(names, x)}
-
-
-_DOMAINS = {"k": 1, "m": 1, "n": 2, "p": 1, "q": 1, "i": 0, "j": 0}
-
-
-def _solve_in_domain(equations: list[Equation]) -> Optional[dict[str, int]]:
-    """The integral solution of `_solve` when every parameter lies in its domain, else None."""
-    env = _solve(equations)
-    return env if env is not None and all(env[v] >= _DOMAINS[v] for v in env) else None
 
 
 class SymmetricPairEntry(NamedTuple):
@@ -112,8 +100,9 @@ class SymmetricPairEntry(NamedTuple):
         return {"g": self.g, "h": self.h_display(), "condition": self.condition}
 
 
-def _mins(env, a, b, c, d):
-    return min(env[a], env[b]) > min(env[c], env[d]) + min(env[a] - env[c], env[b] - env[d])
+def _mins(e) -> bool:
+    """min{p,q} > min{i,j} + min{p-i,q-j}"""
+    return min(e["p"], e["q"]) > min(e["i"], e["j"]) + min(e["p"] - e["i"], e["q"] - e["j"])
 
 
 _Check = Callable[[dict[str, int]], bool]
@@ -130,46 +119,30 @@ _ROWS: list[tuple[str, tuple[str, ...], str, _Check]] = [
     ("su*(2k)", ("sp(k-i,i)",), "2i < k-1", lambda e: 2 * e["i"] < e["k"] - 1),
     ("su(2p,2q)", ("sp(p,q)",), "", _always),
     ("su(n,n)", ("so*(2n)",), "", _always),
-    (
-        "su(p,q)",
-        ("su(i,j)", "su(p-i,q-j)", "so(2)"),
-        "min{p,q} > min{i,j} + min{p-i,q-j}",
-        lambda e: 0 <= e["i"] <= e["p"] and 0 <= e["j"] <= e["q"] and _mins(e, "p", "q", "i", "j"),
-    ),
+    ("su(p,q)", ("su(i,j)", "su(p-i,q-j)", "so(2)"), "min{p,q} > min{i,j} + min{p-i,q-j}", _mins),
     (
         "so(p,q)",
         ("so(i,j)", "so(p-i,q-j)"),
         "p+q odd; min{p,q} > min{i,j} + min{p-i,q-j}",
-        lambda e: (e["p"] + e["q"]) % 2 == 1
-        and e["p"] + e["q"] >= 3
-        and 0 <= e["i"] <= e["p"]
-        and 0 <= e["j"] <= e["q"]
-        and _mins(e, "p", "q", "i", "j"),
+        lambda e: (e["p"] + e["q"]) % 2 == 1 and _mins(e),
     ),
-    ("sp(n,R)", ("su(n-i,i)", "so(2)"), "", lambda e: e["i"] <= e["n"]),
+    ("sp(n,R)", ("su(n-i,i)", "so(2)"), "", _always),
     ("sp(2k,R)", ("sp(k,C)",), "", _always),
-    (
-        "sp(p,q)",
-        ("sp(i,j)", "sp(p-i,q-j)"),
-        "min{p,q} > min{i,j} + min{p-i,q-j}",
-        lambda e: 0 <= e["i"] <= e["p"] and 0 <= e["j"] <= e["q"] and _mins(e, "p", "q", "i", "j"),
-    ),
+    ("sp(p,q)", ("sp(i,j)", "sp(p-i,q-j)"), "min{p,q} > min{i,j} + min{p-i,q-j}", _mins),
     (
         "so(p,q)",
         ("so(i,j)", "so(p-i,q-j)"),
         "p+q even; min{p,q} > min{i,j} + min{p-i,q-j}, unless p = q = 2m+1 and |i-j| = 1",
         lambda e: (e["p"] + e["q"]) % 2 == 0
-        and e["p"] + e["q"] >= 3
-        and (e["p"], e["q"]) != (2, 2)
-        and 0 <= e["i"] <= e["p"]
-        and 0 <= e["j"] <= e["q"]
-        and _mins(e, "p", "q", "i", "j")
+        and e["p"] + e["q"] >= 3  # not printed: excludes so(1,1), which is abelian
+        and (e["p"], e["q"]) != (2, 2)  # not printed: excludes so(2,2), which is not simple
+        and _mins(e)
         and not (e["p"] == e["q"] and e["p"] % 2 == 1 and e["p"] >= 3 and abs(e["i"] - e["j"]) == 1),
     ),
     ("so(2p,2q)", ("su(p,q)", "so(2)"), "", _always),
     ("so*(2k)", ("su(k-i,i)", "so(2)"), "2i < k-1", lambda e: 2 * e["i"] < e["k"] - 1),
     ("so(k,k)", ("so(k,C)", "so(2)"), "", _always),
-    ("so*(4m)", ("so*(4m-4i+2)", "so*(4i-2)"), "", lambda e: 1 <= e["i"] <= e["m"]),
+    ("so*(4m)", ("so*(4m-4i+2)", "so*(4i-2)"), "", _always),
     ("e6(6)", ("sp(2,2)",), "", _always),
     ("e6(6)", ("su*(6)", "su(2)"), "", _always),
     ("e6(2)", ("so*(10)", "so(2)"), "", _always),
@@ -190,15 +163,16 @@ _ROWS: list[tuple[str, tuple[str, ...], str, _Check]] = [
     ("sl(2k,C)", ("su*(2k)",), "", _always),
     ("sl(n,C)", ("su(n-i,i)",), "2i < n-1", lambda e: 2 * e["i"] < e["n"] - 1),
     ("so(2k+1,C)", ("so(2k+1-i,i)",), "i < k", lambda e: e["i"] < e["k"]),
-    ("sp(n,C)", ("sp(n-i,i)",), "", lambda e: e["i"] <= e["n"]),
+    ("sp(n,C)", ("sp(n-i,i)",), "", _always),
     (
         "so(2k,C)",
         ("so(2k-i,i)",),
         "i < k, unless k = i+1 = 2m+1",
+        # k >= 3 is not printed: it excludes so(2,C), which is abelian, and so(4,C), which is not simple
         lambda e: e["k"] >= 3 and e["i"] < e["k"] and not (e["k"] == e["i"] + 1 and e["k"] % 2 == 1),
     ),
-    ("so(4m,C)", ("so(4m-2i+1,C)", "so(2i-1,C)"), "", lambda e: 1 <= e["i"] <= 2 * e["m"]),
-    ("so(2k,C)", ("so*(2k)",), "", lambda e: e["k"] >= 3),
+    ("so(4m,C)", ("so(4m-2i+1,C)", "so(2i-1,C)"), "", _always),
+    ("so(2k,C)", ("so*(2k)",), "", lambda e: e["k"] >= 3),  # not printed: excludes so(2,C) and so(4,C), as above
     ("e6C", ("e6(-14)",), "", _always),
     ("e6C", ("e6(-26)",), "", _always),
     ("e7C", ("e7(-5)",), "", _always),
@@ -216,27 +190,33 @@ def proper_sl2_pairs() -> list[SymmetricPairEntry]:
 def _match_row(row, g: Summand, h: list[Summand]) -> Optional[dict[str, int]]:
     """The first parameter values placing g and h on the row and passing its
     domains and side condition; the g equations are solved on their own first,
-    which prunes most rows before any h placement is tried."""
+    which prunes most rows before any h placement is tried.  The h summands
+    are placed in every order, and each summand's arguments in every order."""
     g_pat, h_pats, _, check = row
     if len(h_pats) != len(h):
         return None
     for g_eqs in _equations(g_pat, g):
-        if _solve_in_domain(g_eqs) is None:
+        if _solve(g_eqs) is None:
             continue
-        for eqs in _placements(h_pats, h, g_eqs):
-            env = _solve_in_domain(eqs)
-            if env is not None and check(env):
-                return env
+        for order in permutations(h):
+            for placed in product(*map(_equations, h_pats, order)):
+                env = _solve(sum(placed, g_eqs))
+                if env is not None and check(env):
+                    return env
     return None
 
 
 def lookup_pair(g_label: str, h_description: str) -> Optional[tuple[SymmetricPairEntry, dict[str, int]]]:
     """Find the table row matching a concrete pair, with its parameter values.
 
-    Returns None when no row matches or the row's side condition fails.
+    Returns None when a classical summand has a negative argument, when no
+    row matches, or when the row's side condition fails.  Each row's check is
+    its printed condition, so the argument rule is checked here, once.
     """
     g = parse_summand(g_label)
     h = [parse_summand(piece) for piece in re.split(r"[+⊕]", h_description)]
+    if any(arg < 0 for head, args, _ in (g, *h) if head not in _EXCEPTIONAL for arg in args):
+        return None
     for row in _ROWS:
         env = _match_row(row, g, h)
         if env is not None:
@@ -252,7 +232,7 @@ def pairs_for(g_label: str) -> list[SymmetricPairEntry]:
     return [
         SymmetricPairEntry(g_pat, h_pats, cond)
         for g_pat, h_pats, cond, _ in _ROWS
-        if any(_solve_in_domain(eqs) is not None for eqs in _equations(g_pat, g))
+        if any(_solve(eqs) is not None for eqs in _equations(g_pat, g))
     ]
 
 

@@ -17,8 +17,16 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 
-# A NamedTuple may not define __new__, so each validating record checks its
-# fields in the __new__ of a subclass of its fields tuple.
+# A NamedTuple may not define __new__ or _make, so each validating record
+# checks its fields in the __new__ of a subclass of its fields tuple and sets
+# _make, which _replace calls too, to checked_make: the tuple's own _make calls
+# tuple.__new__ and skips the checks.  Each class sets it rather than inheriting
+# it from a mixin, which would lengthen every construction's super() lookup.
+@classmethod
+def checked_make(cls, iterable):
+    return cls(*iterable)
+
+
 class _SimpleTypeFields(NamedTuple):
     family: str
     rank: int
@@ -28,6 +36,7 @@ class SimpleType(_SimpleTypeFields):
     """A complex simple Lie algebra type, e.g. SimpleType('D', 5)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, family: str, rank: int):
         if family not in FAMILIES:
@@ -163,6 +172,7 @@ class WeightedDiagram(_WeightedDiagramFields):
     Cartan element.  An integral Fraction weight is stored as its int."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, simple_type: SimpleType, weights: tuple[int, ...]):
         weights = tuple(weights)
@@ -184,6 +194,7 @@ class DiagramInvolution(_DiagramInvolutionFields):
     """A self-inverse node permutation preserving the Cartan matrix (0-based)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, simple_type: SimpleType, permutation: tuple[int, ...]):
         perm = permutation

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .nilorbits import partition_label
 from .rational import RationalSubspace, coordinate_kernel
-from .rootcore import SimpleType, WeightedDiagram, cartan_matrix, opposition_involution
+from .rootcore import SimpleType, WeightedDiagram, cartan_matrix, checked_make, opposition_involution
 
 
 class LabelError(ValueError):
@@ -265,6 +265,7 @@ class SatakeDiagram(_SatakeDiagramFields):
     """Black nodes and the arrow involution on white nodes (0-based indices)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, simple_type: SimpleType, black_nodes: frozenset[int], arrows: tuple[tuple[int, int], ...]):
         l = simple_type.rank

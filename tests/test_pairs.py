@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 
 from orbitspan.pairs import (
     _DOMAINS,
+    _EXCEPTIONAL,
     _ROWS,
     _pattern,
     lookup_pair,
@@ -182,9 +185,15 @@ def test_every_row_determines_its_parameters():
         assert len(independent_prefix(columns)) == len(names), row[:2]
 
 
+def _breaks_argument_rule(text: str) -> bool:
+    head, args, _ = parse_summand(text)
+    return head not in _EXCEPTIONAL and any(arg < 0 for arg in args)
+
+
 def test_instantiated_rows_are_found_again():
-    """Each row, instantiated wherever its domains and condition hold, is
-    looked up to a row that instantiates back to the same g and h."""
+    """Each row, instantiated wherever its domains and condition hold and no
+    classical argument is negative, is looked up to a row that instantiates
+    back to the same g and h."""
     checked = 0
     for row in _ROWS:
         g_pat, h_pats, _, check = row
@@ -194,6 +203,8 @@ def test_instantiated_rows_are_found_again():
             if not (all(env[v] >= _DOMAINS[v] for v in env) and check(env)):
                 continue
             g, h = _instantiate(g_pat, env), [_instantiate(pat, env) for pat in h_pats]
+            if any(map(_breaks_argument_rule, [g, *h])):
+                continue
             found = lookup_pair(g, " + ".join(reversed(h)))
             assert found is not None, (g, h)
             entry, env2 = found
@@ -201,7 +212,7 @@ def test_instantiated_rows_are_found_again():
             back = sorted(_canonical(parse_summand(_instantiate(pat, env2))) for pat in entry.h)
             assert back == sorted(_canonical(parse_summand(text)) for text in h), (g, h, entry, env2)
             checked += 1
-    assert checked > 800
+    assert checked == 827
 
 
 # sha256 of the lookups below: it pins which row, and which parameters, the
@@ -221,3 +232,49 @@ def test_lookup_grid_is_pinned():
                 results.append([g, h, found and [found[0].to_json(), found[1]]])
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert (len(results), digest) == (1181, _GRID_SHA256)
+
+
+_HEADS = ["sl", "su", "su*", "so", "so*", "sp", "e6", "e7", "e8", "f4", "g2", "sq"]
+
+
+def random_symbol(rng: random.Random) -> str:
+    """An algebra symbol, mostly concrete: a head, zero to two arguments
+    (negative, zero, small, over any rank limit, or a pattern's), then maybe a field."""
+    values = [-14, -1, 0, 1, 2, 2, 3, 4, 5, 6, 8, 10**6, "2k", ""]
+    args = [str(rng.choice(values)) for _ in range(rng.choice([0, 1, 2, 2]))] + rng.choice([[], [], ["R"], ["C"]])
+    return rng.choice(_HEADS) + (f"({','.join(args)})" if args else rng.choice(["", "C"]))
+
+
+def random_symbol_sum(rng: random.Random) -> str:
+    return rng.choice([" + ", "+", " ⊕ "]).join(random_symbol(rng) for _ in range(rng.choice([1, 1, 2, 3])))
+
+
+def _random_row_query(rng: random.Random) -> tuple[str, str]:
+    """A row instantiated at parameters from -1 to 7, its h summands shuffled."""
+    g_pat, h_pats, _, _ = rng.choice(_ROWS)
+    env = {v: rng.randint(-1, 7) for v in "kmnpqij"}
+    h = [_instantiate(pat, env) for pat in h_pats]
+    rng.shuffle(h)
+    return _instantiate(g_pat, env), rng.choice([" + ", " ⊕ "]).join(h)
+
+
+def test_random_lookups_round_trip():
+    """Seeded symbol sums, half of them instantiated rows: each lookup gives
+    None, raises ValueError, or returns a row and parameters that instantiate
+    back to the queried g and h, up to argument order."""
+    rng = random.Random(32)
+    outcomes = Counter()
+    for n in range(300):
+        g, h = _random_row_query(rng) if n % 2 else (random_symbol(rng), random_symbol_sum(rng))
+        try:
+            found = lookup_pair(g, h)
+        except ValueError:
+            outcomes["error"] += 1
+            continue
+        outcomes["found" if found else "none"] += 1
+        if found:
+            entry, env = found
+            assert _canonical(parse_summand(_instantiate(entry.g, env))) == _canonical(parse_summand(g)), (g, h)
+            back = sorted(_canonical(parse_summand(_instantiate(pat, env))) for pat in entry.h)
+            assert back == sorted(_canonical(parse_summand(text)) for text in re.split("[+⊕]", h)), (g, h)
+    assert min(outcomes[kind] for kind in ("error", "found", "none")) >= 30, outcomes

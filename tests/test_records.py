@@ -205,3 +205,46 @@ def test_satake_diagram_messages():
     assert SatakeDiagram(a3, frozenset({1}), ((0, 2),)).to_json() == {
         "type": "A", "rank": 3, "black": [2], "arrows": [[1, 3]]
     }
+
+
+A2_ARROW = SatakeDiagram(A2, frozenset(), ((0, 1),))
+
+# (a valid record, a field change its constructor refuses, the constructor's message)
+BAD_CHANGES = [
+    (SimpleType("A", 3), {"rank": 0}, "A_0 is not supported"),
+    (W, {"weights": (Q(1, 2), 0)}, "diagram weights must be integers; got (Fraction(1, 2), 0)"),
+    (DiagramInvolution(A2, (1, 0)), {"permutation": (0, 0)}, "not a permutation of the nodes"),
+    (OD, {"diagram": WeightedDiagram(A2, (0, 3))}, "orbit diagram weights must be 0, 1 or 2; got 3"),
+    (A2_ARROW, {"black_nodes": frozenset({1})}, "arrows join only white nodes"),
+]
+
+
+@pytest.mark.parametrize("record, change, message", BAD_CHANGES, ids=[type(case[0]).__name__ for case in BAD_CHANGES])
+def test_make_and_replace_run_the_checks(record, change, message):
+    with _raises(message):
+        record._replace(**change)
+    with _raises(message):
+        type(record)._make({**record._asdict(), **change}.values())
+
+
+# (a valid record, a field change its constructor accepts)
+GOOD_CHANGES = [
+    (SimpleType("A", 3), {"rank": 4}),
+    (W, {"weights": (Q(2), Q(0))}),
+    (DiagramInvolution(A2, (1, 0)), {"permutation": (0, 1)}),
+    (OD, {"label": "[2,1]", "diagram": WeightedDiagram(A2, (1, 1))}),
+    (A2_ARROW, {"arrows": ()}),
+]
+
+
+@pytest.mark.parametrize("record, change", GOOD_CHANGES, ids=[type(case[0]).__name__ for case in GOOD_CHANGES])
+def test_make_and_replace_return_the_record(record, change):
+    cls = type(record)
+    changed = record._replace(**change)
+    assert type(changed) is cls and changed == cls(**{**record._asdict(), **change})
+    assert type(cls._make(record)) is cls and cls._make(record) == record
+
+
+def test_replace_turns_fraction_weights_into_ints():
+    changed = W._replace(weights=(Q(4, 2), Q(0)))
+    assert changed.weights == (2, 0) and all(type(w) is int for w in changed.weights)
